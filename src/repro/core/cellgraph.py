@@ -36,6 +36,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.runtime.deadline import Deadline
 
+from repro.core.corekernel import grid_soa
 from repro.core.edgekernel import apply_preunion_dense, cell_arrays, resolve_edges
 from repro.errors import ParameterError
 from repro.geometry import distance as dm
@@ -47,13 +48,31 @@ from repro.utils.unionfind import DenseUnionFind, KeyedUnionFind
 
 
 def core_cells(grid: Grid, core_mask: np.ndarray) -> Dict[CellCoord, np.ndarray]:
-    """Map each core cell to the indices of its core points."""
-    out: Dict[CellCoord, np.ndarray] = {}
-    for cell, idx in grid.cells.items():
-        cores = idx[core_mask[idx]]
-        if len(cores):
-            out[cell] = cores
-    return out
+    """Map each core cell to the indices of its core points.
+
+    Cells keep the grid's insertion order and each cell its point-index
+    order.  Built from the grid's cached :class:`GridSoA` in array passes:
+    one mask over the concatenated point indices and one ``reduceat`` for
+    the per-cell core counts; each cell's entry is then a slice of the
+    masked index array.
+    """
+    soa = grid_soa(grid)
+    if not len(soa):
+        return {}
+    is_core = np.asarray(core_mask, dtype=bool)[soa.cat]
+    counts = np.add.reduceat(is_core, soa.offsets, dtype=np.int64)
+    cores = soa.cat[is_core]
+    ends = np.cumsum(counts)
+    with_cores = np.flatnonzero(counts)
+    keys = soa.keys
+    return {
+        keys[t]: cores[end - count : end]
+        for t, count, end in zip(
+            with_cores.tolist(),
+            counts[with_cores].tolist(),
+            ends[with_cores].tolist(),
+        )
+    }
 
 
 def exact_edge_predicate(
@@ -294,7 +313,28 @@ def exact_components(
     byte-identical labels.
     """
     _validate_kernel(kernel)
-    cells = core_cells(grid, core_mask)
+    return _exact_components(
+        grid,
+        core_cells(grid, core_mask),
+        bcp_strategy,
+        deadline=deadline,
+        preunion=preunion,
+        structures=structures,
+        kernel=kernel,
+    )
+
+
+def _exact_components(
+    grid: Grid,
+    cells: Dict[CellCoord, np.ndarray],
+    bcp_strategy: str = "auto",
+    *,
+    deadline: Optional["Deadline"] = None,
+    preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
+    structures: Optional[Dict[CellCoord, object]] = None,
+    kernel: str = "staged",
+) -> Tuple[np.ndarray, int]:
+    """:func:`exact_components` over precomputed :func:`core_cells`."""
     edge = exact_edge_predicate(grid, cells, bcp_strategy, structures=structures)
     if kernel == "staged":
         return _staged_components(
@@ -341,7 +381,30 @@ def approx_components(
     never pay for a structure build.
     """
     _validate_kernel(kernel)
-    cells = core_cells(grid, core_mask)
+    return _approx_components(
+        grid,
+        core_cells(grid, core_mask),
+        rho,
+        exact_leaf_size,
+        deadline=deadline,
+        preunion=preunion,
+        structures=structures,
+        kernel=kernel,
+    )
+
+
+def _approx_components(
+    grid: Grid,
+    cells: Dict[CellCoord, np.ndarray],
+    rho: float,
+    exact_leaf_size: int | None = None,
+    *,
+    deadline: Optional["Deadline"] = None,
+    preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
+    structures: Optional[Dict[CellCoord, FlatHierarchy]] = None,
+    kernel: str = "staged",
+) -> Tuple[np.ndarray, int]:
+    """:func:`approx_components` over precomputed :func:`core_cells`."""
     points = grid.points
     kwargs = {} if exact_leaf_size is None else {"exact_leaf_size": exact_leaf_size}
     if structures is None:

@@ -19,7 +19,8 @@ settles the bulk of the pairs with three staged, vectorised passes:
   from the rho-approximate rule (a point within ``eps`` is inside the
   Lemma 5 structure's mandatory-yes band), so accepting them is sound for
   both edge predicates.  Accepted edges are merged into an array-backed
-  :class:`~repro.utils.unionfind.DenseUnionFind` in one batch.
+  :class:`~repro.utils.unionfind.DenseUnionFind` by one ``union_many``
+  call — a few vectorised Borůvka rounds, not a loop over the pairs.
 
 * **Stage B — quick reject.**  Pairs whose core bounding boxes are
   separated by more than the rule's no-band radius — ``eps`` exactly,
@@ -28,11 +29,14 @@ settles the bulk of the pairs with three staged, vectorised passes:
   eliminates them without touching a point.
 
 * **Stage C — spanning-forest-aware survivors.**  Only the undecided
-  pairs fall through to the per-pair predicate, scheduled cheapest-first
-  (ascending ``|c1| * |c2|``, the cost proxy of both BCP and the batched
-  probe) with a connectivity re-check before each test: a pair whose
-  endpoints an earlier (cheaper) edge already connected contributes
-  nothing to the spanning forest and is skipped outright.
+  pairs fall through to the per-pair predicate.  One root comparison
+  first drops every survivor whose endpoints stage A's edges already
+  connected; on dense data that is usually all of them.  The rest are
+  scheduled cheapest-first (ascending ``|c1| * |c2|``, the cost proxy of
+  both BCP and the batched probe) with a connectivity re-check before
+  each test: a pair whose endpoints an earlier (cheaper) edge already
+  connected contributes nothing to the spanning forest and is skipped
+  outright.  Both kinds of skip count as ``edge_scheduled_skip``.
 
 Every stage only skips work whose outcome is already determined, so the
 resolved component structure — and therefore the final labels, which are
@@ -185,11 +189,13 @@ def resolve_edges(
     """Resolve one batch of candidate pairs into ``uf`` — the edge phase.
 
     Stages A/B settle the bulk of ``(ii, jj)`` with vectorised
-    certificates (:func:`classify_pairs`); the survivors run the per-pair
-    ``edge`` predicate cheapest-first with a connectivity re-check, so
-    pairs made redundant by earlier unions never pay for a test.  Pairs
-    whose endpoints ``uf`` already connects (a pre-union carry, or earlier
-    batches) are dropped up front by one vectorised root comparison.
+    certificates (:func:`classify_pairs`); the survivors stage A already
+    connected are dropped in one root comparison, and the rest run the
+    per-pair ``edge`` predicate cheapest-first with a connectivity
+    re-check, so pairs made redundant by earlier unions never pay for a
+    test.  Pairs whose endpoints ``uf`` already connects (a pre-union
+    carry, or earlier batches) are dropped up front by one vectorised root
+    comparison.
 
     Returns the unions that merged two components, as ``(position, i, j)``
     triples (``position`` indexes the given pair arrays) — the spanning
@@ -235,6 +241,14 @@ def resolve_edges(
     if not n_survivors:
         return unions
     si, sj, spos = ii[survive], jj[survive], pos[survive]
+    # Connectivity only grows, so a survivor stage A's unions already
+    # connected would be skipped by the loop below anyway: drop them all
+    # with one root comparison instead of a scalar re-check each.
+    roots = uf.roots()
+    still_open = roots[si] != roots[sj]
+    skipped = n_survivors - int(still_open.sum())
+    if skipped:
+        si, sj, spos = si[still_open], sj[still_open], spos[still_open]
     # Cheapest-first: ascending |c1| * |c2|, the cost proxy of both BCP
     # and the batched Lemma 5 probe.  Stable, so equal-cost pairs keep
     # their candidate order and the schedule is deterministic.
@@ -246,7 +260,7 @@ def resolve_edges(
     # Funnel accounting: edge_quick_accept + edge_quick_reject +
     # edge_survivors + edge_connected_skip == edge_pairs_total, and
     # edge_survivors == edge_scheduled_skip + edge_predicate_tests.
-    tests = hits = skipped = 0
+    tests = hits = 0
     for a, b, p in zip(si, sj, spos):
         if deadline is not None:
             deadline.tick()
@@ -271,15 +285,16 @@ def apply_preunion_dense(
 ) -> None:
     """Seed a dense forest with known same-component cell pairs.
 
-    The dense-id analogue of :func:`repro.core.cellgraph.apply_preunion`:
-    pairs naming cells outside ``index`` are skipped, and seeding
-    same-component pairs never changes the final partition or its labels
-    (labels come from id order, fixed at construction).
+    The dense-id analogue of :func:`repro.core.cellgraph.apply_preunion`,
+    as one ``union_many`` batch: pairs naming cells outside ``index`` are
+    skipped, and seeding same-component pairs never changes the final
+    partition or its labels (labels come from id order, fixed at
+    construction).
     """
     if not preunion:
         return
-    for c1, c2 in preunion:
-        i = index.get(c1)
-        j = index.get(c2)
-        if i is not None and j is not None:
-            uf.union(i, j)
+    ids = [(index.get(c1), index.get(c2)) for c1, c2 in preunion]
+    ids = [pair for pair in ids if None not in pair]
+    if ids:
+        xs, ys = np.array(ids, dtype=np.int64).T
+        uf.union_many(xs, ys)

@@ -60,9 +60,9 @@ import numpy as np
 from repro import config
 from repro.core.border import assign_borders
 from repro.core.cellgraph import (
-    approx_components,
+    _approx_components,
+    _exact_components,
     core_cells,
-    exact_components,
     labels_from_dense,
 )
 from repro.core.edgekernel import apply_preunion_dense
@@ -732,17 +732,17 @@ def _parallel_components(
     n_workers = effective_workers(cfg, len(grid.points), len(cells))
     if n_workers <= 1:
         if edge_payload["edge_rule"] == "exact":
-            return exact_components(
+            return _exact_components(
                 grid,
-                core_mask,
+                cells,
                 edge_payload["bcp_strategy"],
                 deadline=deadline,
                 preunion=preunion,
                 structures=edge_payload.get("structures"),
             )
-        return approx_components(
+        return _approx_components(
             grid,
-            core_mask,
+            cells,
             edge_payload["rho"],
             edge_payload["exact_leaf_size"],
             deadline=deadline,
@@ -757,17 +757,21 @@ def _parallel_components(
     # workers' chunks.
     index = {c: t for t, c in enumerate(cells)}
 
-    # Pairs already connected by the pre-union seed never need an edge
-    # test anywhere — drop them before sharding so neither the payload nor
-    # any worker carries them (see cellgraph.candidate_cell_pairs).
+    # The stitching pass: one forest over *all* core cells, in the same
+    # insertion order the serial path uses, so component labels (assigned
+    # by first appearance in id order) come out identical.  Seeded with
+    # the pre-union carry, it also filters the candidate pairs: pairs the
+    # seed already connects never need an edge test anywhere — drop them
+    # before sharding so neither the payload nor any worker carries them
+    # (see cellgraph.candidate_cell_pairs).
+    uf = DenseUnionFind(len(index))
+    apply_preunion_dense(uf, index, preunion)
     keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
     if deadline is not None:
         deadline.tick()
     key_id = np.fromiter((index[c] for c in keys), dtype=np.int64, count=len(keys))
     if preunion and len(ii):
-        seed_forest = DenseUnionFind(len(index))
-        apply_preunion_dense(seed_forest, index, preunion)
-        seed_root = seed_forest.roots()[key_id]
+        seed_root = uf.roots()[key_id]
         keep = seed_root[ii] != seed_root[jj]
         ii, jj = ii[keep], jj[keep]
     weights = {c: len(idx) for c, idx in cells.items()}
@@ -779,12 +783,9 @@ def _parallel_components(
     if preunion:
         payload["preunion"] = list(preunion)
 
-    # The stitching pass: one forest over *all* core cells, in the same
-    # insertion order the serial path uses, so component labels (assigned
-    # by first appearance in id order) come out identical.
-    uf = DenseUnionFind(len(index))
-    apply_preunion_dense(uf, index, preunion)
-
+    # Worker unions are collected first and stitched in one union_many.
+    united_i: List[int] = []
+    united_j: List[int] = []
     session = None
     if cfg.shm and cfg.backend == "process":
         # Task-ordered index form of the split_pairs layout: per-shard
@@ -854,7 +855,8 @@ def _parallel_components(
 
         def consume(united) -> None:
             for c1, c2 in united:
-                uf.union(index[c1], index[c2])
+                united_i.append(index[c1])
+                united_j.append(index[c2])
 
     try:
         if tasks:
@@ -866,13 +868,14 @@ def _parallel_components(
             edge_i = session.out("edge_i")
             edge_j = session.out("edge_j")
             hit = np.nonzero(edge_i >= 0)[0]
-            for a, b in zip(
-                key_id[edge_i[hit]].tolist(), key_id[edge_j[hit]].tolist()
-            ):
-                uf.union(a, b)
+            stitch_i, stitch_j = key_id[edge_i[hit]], key_id[edge_j[hit]]
+        else:
+            stitch_i = np.array(united_i, dtype=np.int64)
+            stitch_j = np.array(united_j, dtype=np.int64)
     finally:
         if session is not None:
             session.close()
+    uf.union_many(stitch_i, stitch_j)
     return labels_from_dense(grid, cells, uf)
 
 

@@ -9,17 +9,21 @@ Three implementations share the same semantics:
 * :class:`UnionFind` — dense integer elements backed by Python lists, the
   original general-purpose structure;
 * :class:`KeyedUnionFind` — arbitrary hashable keys (grid-cell
-  coordinates) layered over :class:`UnionFind`; the compatibility shim the
-  parallel stitching layer and the legacy per-pair edge loop use;
+  coordinates) layered over :class:`UnionFind`; the forest the legacy
+  per-pair edge loop uses;
 * :class:`DenseUnionFind` — numpy parent/rank arrays over dense ids with
-  *batched* operations (``union_many``, ``roots``) for the staged edge
-  kernel (:mod:`repro.core.edgekernel`), where whole stages of candidate
-  pairs are settled with a handful of array passes.
+  *batched* operations for the staged edge kernel
+  (:mod:`repro.core.edgekernel`) and the parallel stitching pass.
+  ``roots`` resolves every element in a few pointer-jumping passes;
+  ``union_many`` merges a whole batch of pairs in ``O(log n)`` vectorised
+  Borůvka rounds and still reports exactly the pairs a scalar loop in
+  batch order would have merged.
 
-All implement union by rank with full path compression, giving the usual
-near-constant amortised cost per operation.  Component labels are always
-assigned by first appearance in element/insertion order, which is what
-makes every consumer's output deterministic.
+The scalar operations implement union by rank with full path
+compression, giving the usual near-constant amortised cost per
+operation.  Component labels are always assigned by first appearance in
+element/insertion order, which is what makes every consumer's output
+deterministic.
 """
 
 from __future__ import annotations
@@ -150,10 +154,10 @@ class DenseUnionFind:
 
     The hot structure of the staged edge kernel: ``parent`` / ``rank`` are
     numpy int64 arrays, whole edge batches merge through
-    :meth:`union_many`, and :meth:`roots` resolves every element's
-    representative in a few vectorised pointer-jumping passes — the
-    operation behind the kernel's "drop pairs an earlier stage already
-    connected" filters.  Component labels come out identical to
+    :meth:`union_many` (array-level Borůvka rounds), and :meth:`roots`
+    resolves every element's representative in a few vectorised
+    pointer-jumping passes — the operation behind the kernel's "drop
+    pairs an earlier stage already connected" filters.  Component labels come out identical to
     :class:`KeyedUnionFind` over keys registered in id order: both assign
     labels by first appearance.
     """
@@ -204,20 +208,63 @@ class DenseUnionFind:
         return self.find(x) == self.find(y)
 
     def union_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Merge every pair ``(xs[t], ys[t])`` in order.
+        """Merge every pair ``(xs[t], ys[t])``, as if one at a time in order.
 
-        Returns a boolean mask marking the pairs whose union actually
-        merged two distinct sets — the spanning subset of the batch, which
-        is what parallel workers report back to the stitching pass.
+        Returns a boolean mask marking the pairs whose union merged two
+        distinct sets — the spanning subset of the batch, which is what
+        parallel workers report back to the stitching pass.  The mask is
+        exactly the one a scalar ``union`` loop in index order returns.
+
+        Runs as vectorised Borůvka rounds over the batch with each pair
+        weighted by its position.  Each round resolves every element's
+        root, drops the pairs already connected, and lets every component
+        pick its lowest-position open pair.  The picked pairs are merged:
+        each component hooks onto the root at the other end of its pick,
+        and where two components picked the same pair the smaller root
+        stays a root.  Along a chain of hooks the picked positions never
+        increase, so such shared picks are the only cycles, and the hooks
+        form a forest that pointer jumping flattens.  With distinct
+        weights the picks are all edges of the unique minimum spanning
+        forest, which is the forest the sequential loop builds.  Every
+        round at least halves the number of components with an open pair,
+        so there are ``O(log n)`` rounds.  Ranks are left as they were;
+        the forest comes out fully compressed.
         """
         if len(xs) != len(ys):
             raise ValueError(f"batch lengths differ: {len(xs)} vs {len(ys)}")
-        merged = np.zeros(len(xs), dtype=bool)
-        xs_list = np.asarray(xs, dtype=np.int64).tolist()
-        ys_list = np.asarray(ys, dtype=np.int64).tolist()
-        for t, (x, y) in enumerate(zip(xs_list, ys_list)):
-            merged[t] = self.union(x, y)
-        return merged
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        n = len(xs)
+        merged = np.zeros(n, dtype=bool)
+        if n == 0:
+            return merged
+        pos = np.arange(n, dtype=np.int64)
+        # best[r]: the slot (index into this round's open pairs) of root r's
+        # lowest-position open pair; ``n`` marks "no open pair".
+        best = np.full(len(self._parent), n, dtype=np.int64)
+        while True:
+            roots = self.roots()
+            rx, ry = roots[xs[pos]], roots[ys[pos]]
+            keep = rx != ry
+            if not keep.all():
+                pos, rx, ry = pos[keep], rx[keep], ry[keep]
+            if not len(pos):
+                return merged
+            slot = np.arange(len(pos), dtype=np.int64)
+            np.minimum.at(best, rx, slot)
+            np.minimum.at(best, ry, slot)
+            comps = np.flatnonzero(best < n)
+            pick = best[comps]
+            other = rx[pick] + ry[pick] - comps
+            mutual = best[other] == pick
+            self._parent[comps] = np.where(
+                mutual, np.minimum(comps, other), other
+            )
+            best[comps] = n
+            picked = np.zeros(len(pos), dtype=bool)
+            picked[pick] = True
+            merged[pos[picked]] = True
+            self._count -= int(picked.sum())
 
     def roots(self) -> np.ndarray:
         """Every element's representative, as one array (fully compressed).

@@ -13,6 +13,7 @@ may accept only true edges, stage B may reject only non-edges.
 import numpy as np
 import pytest
 
+import repro
 from repro.core import cellgraph as cg
 from repro.core.edgekernel import cell_arrays, classify_pairs, resolve_edges
 from repro.core.labeling import label_cores
@@ -233,3 +234,94 @@ class TestKernelInternals:
         labels, k = cg.exact_components(grid, core, kernel="staged")
         assert k == 0
         assert np.all(labels == -1)
+
+
+def _scalar_funnel(grid, core, edge, reject_eps=None):
+    """Reference ``edge_*`` counts with one scalar union-find step per pair.
+
+    Stage A/B verdicts come from :func:`classify_pairs`; accepted pairs
+    are unioned one at a time, and every survivor is re-checked with a
+    scalar find before its predicate test, cheapest first.
+    """
+    cells = cg.core_cells(grid, core)
+    arrays = cell_arrays(grid.points, cells)
+    keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+    assert keys == arrays.keys
+    parent = list(range(len(arrays)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    accept, reject = classify_pairs(
+        grid.points, grid.eps, arrays, ii, jj, reject_eps=reject_eps
+    )
+    for a, b in zip(ii[accept].tolist(), jj[accept].tolist()):
+        parent[find(a)] = find(b)
+    survive = ~(accept | reject)
+    si, sj = ii[survive], jj[survive]
+    order = np.argsort(arrays.sizes[si] * arrays.sizes[sj], kind="stable")
+    skipped = tests = hits = 0
+    for a, b in zip(si[order].tolist(), sj[order].tolist()):
+        if find(a) == find(b):
+            skipped += 1
+            continue
+        tests += 1
+        if edge(keys[a], keys[b]):
+            hits += 1
+            parent[find(a)] = find(b)
+    return {
+        "edge_pairs_total": len(ii),
+        "edge_connected_skip": 0,
+        "edge_quick_accept": int(accept.sum()),
+        "edge_quick_reject": int(reject.sum()),
+        "edge_survivors": int(survive.sum()),
+        "edge_scheduled_skip": skipped,
+        "edge_predicate_tests": tests,
+        "edge_predicate_hits": hits,
+    }
+
+
+class TestCountersMatchScalarReference:
+    """The vectorised connectivity must leave the edge funnel unchanged."""
+
+    @staticmethod
+    def _points(seed):
+        # Sparse uniform data: stage A leaves survivors whose predicate
+        # tests both merge components and make later survivors redundant.
+        return np.random.default_rng(seed).uniform(0, 100, size=(1200, 2))
+
+    @staticmethod
+    def _edge_counters(result):
+        counters = result.meta["kernel_counters"]
+        return {k: v for k, v in counters.items() if k.startswith("edge_")}
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_exact_run_counters(self, seed):
+        points = self._points(seed)
+        result = repro.dbscan(points, eps=4.0, min_pts=3)
+        grid = Grid(points, 4.0)
+        core = np.asarray(result.core_mask, dtype=bool)
+        cells = cg.core_cells(grid, core)
+        ref = _scalar_funnel(grid, core, cg.exact_edge_predicate(grid, cells))
+        assert ref["edge_scheduled_skip"] > 0 and ref["edge_predicate_tests"] > 0
+        got = self._edge_counters(result)
+        assert {k: got.get(k, 0) for k in ref} == ref
+        assert set(got) <= set(ref)
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_approx_run_counters(self, seed):
+        rho = 0.05
+        points = self._points(seed)
+        result = repro.approx_dbscan(points, eps=4.0, min_pts=3, rho=rho)
+        grid = Grid(points, 4.0)
+        core = np.asarray(result.core_mask, dtype=bool)
+        cells = cg.core_cells(grid, core)
+        edge = cg.approx_edge_predicate(grid, cells, rho)
+        ref = _scalar_funnel(grid, core, edge, reject_eps=4.0 * (1.0 + rho))
+        assert ref["edge_scheduled_skip"] > 0 and ref["edge_predicate_tests"] > 0
+        got = self._edge_counters(result)
+        assert {k: got.get(k, 0) for k in ref} == ref
+        assert set(got) <= set(ref)

@@ -229,3 +229,137 @@ def test_property_matches_graph_components(n, unions):
     for i in range(n):
         for j in range(i + 1, n):
             assert uf.connected(i, j) == (comp_id[i] == comp_id[j])
+
+
+def _scalar_union_many(n, seed_pairs, xs, ys):
+    """Reference: one scalar union per pair, in batch order.
+
+    Returns ``(merged mask, n_components, first-appearance labels)`` — the
+    contract :meth:`DenseUnionFind.union_many` must reproduce exactly.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    for a, b in seed_pairs:
+        union(a, b)
+    merged = np.array([union(a, b) for a, b in zip(xs, ys)], dtype=bool)
+    roots = [find(x) for x in range(n)]
+    label_of = {}
+    labels = [label_of.setdefault(r, len(label_of)) for r in roots]
+    return merged, len(label_of), labels
+
+
+def _seeded_dense(n, seed_pairs):
+    uf = DenseUnionFind(n)
+    for a, b in seed_pairs:
+        uf.union(a, b)  # scalar unions leave an uncompressed forest
+    return uf
+
+
+def _assert_matches_reference(n, seed_pairs, xs, ys):
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    uf = _seeded_dense(n, seed_pairs)
+    merged = uf.union_many(xs, ys)
+    ref_merged, ref_count, ref_labels = _scalar_union_many(
+        n, seed_pairs, xs.tolist(), ys.tolist()
+    )
+    assert merged.tolist() == ref_merged.tolist()
+    assert uf.n_components == ref_count
+    assert uf.component_labels().tolist() == ref_labels
+    # The forest stays usable for scalar operations afterwards.
+    assert [uf.find(x) for x in range(n)] == uf.roots().tolist()
+
+
+class TestUnionManyBoruvka:
+    """Differential tests: vectorised ``union_many`` vs a scalar loop."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_batches_on_seeded_forests(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        seed_pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        m = int(rng.integers(0, 3 * n))
+        xs, ys = rng.integers(0, n, size=(2, m))
+        _assert_matches_reference(n, seed_pairs.tolist(), xs, ys)
+
+    def test_self_loops_and_duplicates(self):
+        xs = [2, 0, 1, 0, 3, 3, 1, 4, 0]
+        ys = [2, 1, 0, 1, 3, 4, 0, 3, 4]
+        _assert_matches_reference(6, [], xs, ys)
+        uf = DenseUnionFind(6)
+        assert uf.union_many(np.array(xs), np.array(ys)).tolist() == [
+            False, True, False, False, False, True, False, False, True,
+        ]
+
+    def test_empty_batch(self):
+        uf = _seeded_dense(5, [(0, 1), (3, 4)])
+        merged = uf.union_many(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert merged.dtype == bool and len(merged) == 0
+        assert uf.n_components == 3
+        _assert_matches_reference(0, [], [], [])
+
+    def test_length_one(self):
+        _assert_matches_reference(3, [], [2], [0])
+        _assert_matches_reference(3, [(0, 2)], [2], [0])
+        _assert_matches_reference(1, [], [0], [0])
+
+    def test_batch_already_connected_by_seed(self):
+        _assert_matches_reference(6, [(0, 1), (1, 2), (4, 5)], [2, 0, 5], [0, 1, 4])
+
+    def test_mutual_picks_and_chains(self):
+        # Components whose lowest open pair is the same pair, chained to
+        # components that hook onto them in the same round.
+        _assert_matches_reference(
+            8, [(6, 7)], [0, 1, 1, 2, 3, 5, 7, 4], [1, 0, 2, 3, 4, 6, 0, 5]
+        )
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "zigzag", "shuffled"])
+    def test_long_path_rounds_are_logarithmic(self, order, monkeypatch):
+        n = 200_001
+        edges = np.arange(n - 1, dtype=np.int64)
+        if order == "reversed":
+            edges = edges[::-1]
+        elif order == "zigzag":
+            # Alternate from both ends of the path towards its middle.
+            zig = np.empty_like(edges)
+            zig[0::2] = edges[: (len(edges) + 1) // 2]
+            zig[1::2] = edges[::-1][: len(edges) // 2]
+            edges = zig
+        elif order == "shuffled":
+            edges = np.random.default_rng(7).permutation(edges)
+        xs, ys = edges, edges + 1
+
+        passes = []
+        roots = DenseUnionFind.roots
+
+        def counting_roots(self):
+            passes.append(1)
+            return roots(self)
+
+        monkeypatch.setattr(DenseUnionFind, "roots", counting_roots)
+        uf = DenseUnionFind(n)
+        merged = uf.union_many(xs, ys)
+        monkeypatch.undo()
+
+        # One roots() pass per Borůvka round plus the final check; every
+        # round at least halves the components with an open pair.
+        assert len(passes) - 1 <= int(np.ceil(np.log2(n)))
+        assert merged.all()
+        assert uf.n_components == 1
+        ref_merged, ref_count, _ = _scalar_union_many(n, [], xs.tolist(), ys.tolist())
+        assert merged.tolist() == ref_merged.tolist()
+        assert ref_count == 1
+
