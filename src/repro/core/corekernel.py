@@ -104,15 +104,28 @@ def grid_soa(grid: Grid) -> GridSoA:
     soa = getattr(grid, _SOA_ATTR, None)
     if soa is not None:
         return soa
-    keys = list(grid.cells.keys())
+    adjacency = grid._ensure_adjacency()
+    if isinstance(adjacency, _CSRAdjacency):
+        keys, index = adjacency.keys, adjacency.index
+        adj_indptr, adj_indices = adjacency.indptr, adjacency.indices
+    else:
+        # All-pairs adjacency (high d) stores per-cell lists in a dict;
+        # repack into CSR once — the only per-cell Python work the staged
+        # kernels ever do, paid a single time per grid.
+        keys = list(grid.cells.keys())
+        index = {c: t for t, c in enumerate(keys)}
+        rows = [adjacency[c] for c in keys]
+        adj_indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=adj_indptr[1:])
+        flat = [index[c] for row in rows for c in row]
+        adj_indices = np.asarray(flat, dtype=np.int64)
     m = len(keys)
-    index = {c: t for t, c in enumerate(keys)}
     points = grid.points
     point_sq = np.einsum("ij,ij->i", points, points)
     if m == 0:
         soa = GridSoA(
             keys, index, _EMPTY, _EMPTY.copy(), _EMPTY.copy(),
-            np.zeros(1, dtype=np.int64), _EMPTY.copy(), point_sq,
+            adj_indptr, adj_indices, point_sq,
         )
         setattr(grid, _SOA_ATTR, soa)
         return soa
@@ -122,19 +135,6 @@ def grid_soa(grid: Grid) -> GridSoA:
     offsets = np.zeros(m, dtype=np.int64)
     np.cumsum(sizes[:-1], out=offsets[1:])
     cat = np.concatenate(list(grid.cells.values()))
-    adjacency = grid._ensure_adjacency()
-    if isinstance(adjacency, _CSRAdjacency) and adjacency.keys == keys:
-        adj_indptr = np.asarray(adjacency.indptr, dtype=np.int64)
-        adj_indices = np.asarray(adjacency.indices, dtype=np.int64)
-    else:
-        # All-pairs adjacency (high d) stores per-cell lists in a dict;
-        # repack into CSR once — the only per-cell Python work the staged
-        # kernels ever do, paid a single time per grid.
-        rows = [adjacency[c] for c in keys]
-        adj_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=adj_indptr[1:])
-        flat = [index[c] for row in rows for c in row]
-        adj_indices = np.asarray(flat, dtype=np.int64)
     soa = GridSoA(
         keys, index, sizes, offsets, cat, adj_indptr, adj_indices, point_sq
     )

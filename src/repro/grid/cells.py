@@ -12,11 +12,23 @@ hyper-squares with side length ``eps / sqrt(d)``.  Two facts drive every use:
 :class:`Grid` maps points to integer cell coordinates, groups point indices
 per non-empty cell, and enumerates eps-neighbour cells via a cached offset
 table shared across instances.
+
+The eps-neighbour adjacency is built with *interval probes*.  In the
+lexicographic offset table, offsets that share their first ``d - 1``
+coordinates and have consecutive last coordinates form a run
+``(p, a..b)``.  Cells are packed into mixed-radix int64 keys whose order
+is the lexicographic order of their coordinates, so the neighbours of
+cell ``c`` along one run are exactly the sorted keys in
+``[key(c) + s_p + a, key(c) + s_p + b]``: one ``searchsorted`` per run
+(not per offset) finds where each interval starts, and a second one,
+run only for the intervals that hold a key, finds where it ends.  Grids
+too wide to pack fall back to the same runs over a structured row view,
+with the emptiness test made in coordinate space.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -91,7 +103,7 @@ class Grid:
 
         coords = np.floor(points / self.side).astype(np.int64)
         self.point_cells = coords
-        self._cells: Dict[CellCoord, np.ndarray] = _group_by_rows(coords)
+        self._cell_coords, self._cells = _cell_table(coords)
         self._offsets = neighbor_offsets(self.eps, self.side, d)
         # In high dimensions the offset table explodes (~257k entries for
         # d = 7, ~1.6k for d = 4) far past the number of non-empty cells;
@@ -99,7 +111,6 @@ class Grid:
         # all-pairs box-distance computation builds the full adjacency map
         # instead.  Built lazily on first neighbour query.
         self._adjacency: Dict[CellCoord, List[CellCoord]] | _CSRAdjacency | None = None
-        self._key_coords: np.ndarray | None = None
         m = len(self._cells)
         self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
 
@@ -142,6 +153,7 @@ class Grid:
         for t in range(m):
             cells[tuple(coord_rows[t])] = cell_order[indptr[t]:indptr[t + 1]]
         self._cells = cells
+        self._cell_coords = np.asarray(cell_coords, dtype=np.int64)
         self._offsets = neighbor_offsets(self.eps, self.side, self.dim)
         keys = list(cells.keys())
         index = {c: t for t, c in enumerate(keys)}
@@ -151,7 +163,6 @@ class Grid:
             np.asarray(adj_indices, dtype=np.int64),
             index,
         )
-        self._key_coords = None
         self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
         return self
 
@@ -169,6 +180,12 @@ class Grid:
         """Mapping of non-empty cell coordinate -> array of point indices."""
         return self._cells
 
+    @property
+    def cell_coords(self) -> np.ndarray:
+        """``(m, d)`` int64 coordinates of the non-empty cells, in :attr:`cells`
+        order (lexicographically ascending)."""
+        return self._cell_coords
+
     def cell_of(self, i: int) -> CellCoord:
         """Cell coordinate of point ``i``."""
         return tuple(int(c) for c in self.point_cells[i])
@@ -182,10 +199,11 @@ class Grid:
     def _ensure_adjacency(self):
         """Build (once) the full cell-adjacency map.
 
-        Low dimensions use the vectorised offset probe and store the map in
-        CSR form (index arrays, no per-cell Python lists); the high-``d``
-        regime, where the offset table dwarfs the cell count, falls back to
-        all-pairs box tests (:meth:`adjacency_rows`) and a plain dict.
+        Low dimensions use interval probes over the offset runs and store
+        the map in CSR form (index arrays, no per-cell Python lists); the
+        high-``d`` regime, where the offset table dwarfs the cell count,
+        falls back to all-pairs box tests (:meth:`adjacency_rows`) and a
+        plain dict.
         :meth:`neighbor_cells` reads either representation.
         """
         if self._adjacency is not None:
@@ -197,73 +215,24 @@ class Grid:
         return self._adjacency
 
     def _adjacency_from_offsets(self) -> "_CSRAdjacency":
-        """CSR adjacency via the vectorised offset probe.
+        """CSR adjacency via interval probes over the non-zero offset runs.
 
-        Each cell's neighbours come out in offset-table order — the same
-        order the old per-cell probing loop yielded them in, which callers
-        that scan neighbours lazily (labeling early-exit) may observe.
+        Within a row, ascending packed key is offset-table order, so a
+        stable sort of the probe hits on their source cell followed by a
+        range expansion yields each row in offset-table order — the order
+        callers that scan neighbours lazily (labeling early-exit) observe.
         """
         keys = list(self._cells.keys())
         index = {c: t for t, c in enumerate(keys)}
         m = len(keys)
+        indptr = np.zeros(m + 1, dtype=np.int64)
         if m < 2:
-            return _CSRAdjacency(
-                keys, np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, index
-            )
-        coords = np.asarray(keys, dtype=np.int64).reshape(m, self.dim)
+            return _CSRAdjacency(keys, indptr, _EMPTY_IDX, index)
         nonzero = self._offsets[(self._offsets != 0).any(axis=1)]
-        i_parts: List[np.ndarray] = []
-        j_parts: List[np.ndarray] = []
-        for i_arr, j_arr in self._iter_offset_hits(coords, nonzero):
-            i_parts.append(i_arr)
-            j_parts.append(j_arr)
-        if not i_parts:
-            return _CSRAdjacency(
-                keys, np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, index
-            )
-        ii = np.concatenate(i_parts)
-        jj = np.concatenate(j_parts)
-        # Stable sort by source cell keeps each row in offset-table order
-        # (the concatenation order of the per-offset hit arrays).
-        order = np.argsort(ii, kind="stable")
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(ii, minlength=m))]
-        ).astype(np.int64)
-        return _CSRAdjacency(keys, indptr, jj[order], index)
-
-    def _iter_offset_hits(
-        self, coords: np.ndarray, offsets: np.ndarray
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Per offset, index arrays ``(i, j)`` with ``coords[i] + off == coords[j]``.
-
-        One scalar membership test per offset replaces ``|coords| x
-        |offsets|`` dictionary probes: rows are packed into mixed-radix
-        int64 keys (the radix is padded by the offset reach, so every
-        shifted coordinate stays in range and a shift is a single scalar
-        addition on the packed keys), with a structured-dtype row view as
-        the overflow fallback.  Offsets that hit nothing are skipped.
-        """
-        reach = int(np.abs(self._offsets).max())
-        lo = coords.min(axis=0) - reach
-        spans = coords.max(axis=0) + reach + 1 - lo
-        if float(np.prod(spans.astype(np.float64))) < 2.0 ** 62:
-            rev = np.concatenate([[1], np.cumprod(spans[::-1][:-1])])
-            mults = rev[::-1]
-            base = (coords - lo) @ mults
-            shifts = [int(off @ mults) for off in offsets]
-        else:  # packed keys would overflow: fall back to structured rows
-            base = _row_view(coords)
-            shifts = None
-        order = np.argsort(base, kind="stable")
-        sorted_keys = base[order]
-        last = len(sorted_keys) - 1
-        for k, off in enumerate(offsets):
-            shifted = base + shifts[k] if shifts is not None else _row_view(coords + off)
-            pos = np.searchsorted(sorted_keys, shifted)
-            np.minimum(pos, last, out=pos)
-            hit = np.nonzero(sorted_keys[pos] == shifted)[0]
-            if len(hit):
-                yield hit, order[pos[hit]]
+        src, first, count, _ = _interval_probes(self._cell_coords, _offset_runs(nonzero))
+        order = np.argsort(src, kind="stable")
+        indptr[1:] = np.cumsum(np.bincount(src, weights=count, minlength=m))
+        return _CSRAdjacency(keys, indptr, _expand_ranges(first[order], count[order]), index)
 
     def adjacency_rows(self, keys_block: List[CellCoord]) -> Dict[CellCoord, List[CellCoord]]:
         """Adjacency lists for a block of cells, by vectorised box tests.
@@ -276,9 +245,7 @@ class Grid:
         few million elements regardless of block size.
         """
         keys = list(self._cells.keys())
-        if self._key_coords is None:
-            self._key_coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), self.dim)
-        coords = self._key_coords
+        coords = self._cell_coords
         limit = self.eps * self.eps * (1.0 + 1e-9)
         block_keys = [tuple(k) for k in keys_block]
         out: Dict[CellCoord, List[CellCoord]] = {}
@@ -303,7 +270,7 @@ class Grid:
         """True when adjacency comes from all-pairs box tests (high ``d``).
 
         Only that build is expensive enough to shard across workers; the
-        offset-probe build is a fast vectorised pass done in-process.
+        interval-probe build is a fast vectorised pass done in-process.
         """
         return self._use_allpairs
 
@@ -375,14 +342,16 @@ class Grid:
         endpoints a carried pre-union already connects) instead of paying
         a Python-level yield per pair.  ``i``-side cells precede their
         ``j`` partners lexicographically, matching the orientation contract
-        of :meth:`neighbor_cell_pairs`.
+        of :meth:`neighbor_cell_pairs`.  Pairs come offset-major (positive
+        offsets in table order), ``i`` ascending within an offset.
         """
-        cells = self._cells
-        if subset is None:
-            sub_keys = list(cells.keys())
-        else:
+        sub_keys = list(self._cells.keys())
+        coords = self._cell_coords
+        if subset is not None:
             allowed = set(map(tuple, subset))
-            sub_keys = [c for c in cells if c in allowed]
+            kept = [t for t, c in enumerate(sub_keys) if c in allowed]
+            sub_keys = [sub_keys[t] for t in kept]
+            coords = coords[kept]
         empty = np.empty(0, dtype=np.int64)
         if len(sub_keys) < 2:
             return sub_keys, empty, empty
@@ -398,16 +367,22 @@ class Grid:
                         ii.append(t)
                         jj.append(u)
             return sub_keys, np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
-        coords = np.asarray(sub_keys, dtype=np.int64).reshape(len(sub_keys), self.dim)
         positive = self._offsets[_positive_offset_mask(self._offsets)]
-        i_parts: List[np.ndarray] = []
-        j_parts: List[np.ndarray] = []
-        for i_arr, j_arr in self._iter_offset_hits(coords, positive):
-            i_parts.append(i_arr)
-            j_parts.append(j_arr)
-        if not i_parts:
+        runs = _offset_runs(positive)
+        src, first, count, per_run = _interval_probes(coords, runs)
+        if not len(src):
             return sub_keys, empty, empty
-        return sub_keys, np.concatenate(i_parts), np.concatenate(j_parts)
+        jj = _expand_ranges(first, count)
+        # Offset rank of each pair: its run's first rank plus the step along
+        # the last axis.  One stable sort on it restores offset-major order
+        # with ``i`` ascending inside each offset.
+        _, run_first, _, run_rank = runs
+        last = coords[:, -1]
+        rank = np.repeat(np.repeat(run_rank - run_first, per_run) - last[src], count)
+        rank += last[jj]
+        rank = rank.astype(np.min_scalar_type(len(positive)))
+        order = np.argsort(rank, kind="stable")
+        return sub_keys, np.repeat(src, count)[order], jj[order]
 
     def neighbor_cell_pairs(self, subset=None) -> Iterator[Tuple[CellCoord, CellCoord]]:
         """Yield each unordered pair of distinct eps-neighbour cells once.
@@ -460,11 +435,138 @@ def _row_view(a: np.ndarray) -> np.ndarray:
     """A 1-D structured view of a 2-D integer array, one element per row.
 
     Structured elements compare field by field, i.e. lexicographically by
-    row — the overflow-proof (but slower) fallback for row-wise membership
-    queries when packed int64 keys cannot represent the coordinate range.
+    row — the overflow-proof (but slower) fallback for row-wise searches
+    when packed int64 keys cannot represent the coordinate range.
     """
     a = np.ascontiguousarray(a)
     return a.view([("", a.dtype)] * a.shape[1]).ravel()
+
+
+def _offset_runs(offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a lexicographic offset table into runs ``(p, a..b)``.
+
+    A run is a maximal stretch of consecutive table rows that share their
+    first ``d - 1`` coordinates ``p`` and step their last coordinate by
+    one.  The box-gap test is monotone in ``|o_d|``, so each prefix of the
+    full table is one run; a table without the zero offset has that
+    prefix split in two.  Returns ``(prefix, first, last, rank)``: the
+    ``(R, d - 1)`` prefixes, the last-coordinate bounds ``a`` and ``b``,
+    and the table position of each run's first offset.
+    """
+    tail = offsets[:, -1]
+    starts = np.ones(len(offsets), dtype=bool)
+    starts[1:] = (offsets[1:, :-1] != offsets[:-1, :-1]).any(axis=1) | (tail[1:] != tail[:-1] + 1)
+    rank = np.flatnonzero(starts)
+    ends = np.append(rank[1:], len(offsets)) - 1
+    return offsets[rank, :-1], tail[rank], tail[ends], rank
+
+
+class _PackedProbe:
+    """Cells as ascending mixed-radix int64 keys.
+
+    ``lo``/``spans`` are padded by the offset reach, which keeps every
+    shifted coordinate in range, so run ``r`` of cell ``c`` is the key
+    interval ``key(c) + [s_p + a, s_p + b]``.  A sentinel past the last
+    key makes the emptiness test need no bounds check.
+    """
+
+    def __init__(self, coords: np.ndarray, runs, lo: np.ndarray, spans: np.ndarray) -> None:
+        prefixes, run_first, run_last, _ = runs
+        mults = np.concatenate([np.cumprod(spans[:0:-1])[::-1], [1]])
+        self.keys = (coords - lo) @ mults
+        self.guarded = np.append(self.keys, np.iinfo(np.int64).max)
+        shift = prefixes @ mults[:-1]
+        self.low = (shift + run_first).tolist()
+        self.high = (shift + run_last).tolist()
+
+    def first(self, r: int) -> np.ndarray:
+        """Position of the first key at or above each cell's interval."""
+        return np.searchsorted(self.keys, self.keys + self.low[r])
+
+    def nonempty(self, pos: np.ndarray, r: int) -> np.ndarray:
+        return self.guarded[pos] <= self.keys + self.high[r]
+
+    def end(self, src: np.ndarray, r: int) -> np.ndarray:
+        """One past the last key inside the interval of each ``src`` cell."""
+        return np.searchsorted(self.keys, self.keys[src] + self.high[r], side="right")
+
+
+class _RowProbe:
+    """The overflow fallback: structured rows, range test on coordinates."""
+
+    def __init__(self, coords: np.ndarray, runs) -> None:
+        prefixes, run_first, run_last, _ = runs
+        self.coords = coords
+        self.rows = _row_view(coords)
+        self.low = np.column_stack([prefixes, run_first])
+        self.high = np.column_stack([prefixes, run_last])
+
+    def first(self, r: int) -> np.ndarray:
+        return np.searchsorted(self.rows, _row_view(self.coords + self.low[r]))
+
+    def nonempty(self, pos: np.ndarray, r: int) -> np.ndarray:
+        coords, high = self.coords, self.high[r]
+        found = coords[np.minimum(pos, len(coords) - 1)]
+        return (
+            (pos < len(coords))
+            & (found[:, :-1] == coords[:, :-1] + high[:-1]).all(axis=1)
+            & (found[:, -1] <= coords[:, -1] + high[-1])
+        )
+
+    def end(self, src: np.ndarray, r: int) -> np.ndarray:
+        upper = _row_view(self.coords[src] + self.high[r])
+        return np.searchsorted(self.rows, upper, side="right")
+
+
+def _interval_probes(
+    coords: np.ndarray, runs: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Probe every cell of ``coords`` along every offset run.
+
+    ``coords`` must hold distinct rows in ascending lexicographic order
+    (what :func:`_cell_table` produces, and any subset of it).  Returns
+    ``(src, first, count, per_run)``: for each non-empty probe, run-major
+    and ``src`` ascending within a run, cells ``first .. first + count - 1``
+    are ``src``'s neighbours along that run; ``per_run`` counts the
+    non-empty probes of each run.  Only the non-empty probes (about 15%
+    at d = 4) pay for the second search that finds where a range ends.
+    """
+    prefixes, run_first, run_last, _ = runs
+    reach = int(np.abs(np.concatenate([prefixes.ravel(), run_first, run_last])).max(initial=0))
+    lo = coords.min(axis=0) - reach
+    spans = coords.max(axis=0) + reach + 1 - lo
+    probe: Union[_PackedProbe, _RowProbe]
+    if float(np.prod(spans.astype(np.float64))) < 2.0 ** 62:
+        probe = _PackedProbe(coords, runs, lo, spans)
+    else:
+        probe = _RowProbe(coords, runs)
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    per_run = np.zeros(len(run_first), dtype=np.int64)
+    for r in range(len(run_first)):
+        pos = probe.first(r)
+        src = np.flatnonzero(probe.nonempty(pos, r))
+        if len(src):
+            first = pos[src]
+            parts.append((src, first, probe.end(src, r) - first))
+            per_run[r] = len(src)
+    if not parts:
+        return _EMPTY_IDX, _EMPTY_IDX, _EMPTY_IDX, per_run
+    src, first, count = (np.concatenate(column) for column in zip(*parts))
+    return src, first, count, per_run
+
+
+def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(first[k], first[k] + count[k])`` (every count >= 1).
+
+    One cumulative sum over a step array: 1 inside a range, and at each
+    range start the jump from the previous range's end.
+    """
+    if not len(first):
+        return _EMPTY_IDX
+    steps = np.ones(int(count.sum()), dtype=np.int64)
+    steps[0] = first[0]
+    steps[np.cumsum(count[:-1])] = first[1:] - (first[:-1] + count[:-1] - 1)
+    return np.cumsum(steps, out=steps)
 
 
 def _positive_offset_mask(offsets: np.ndarray) -> np.ndarray:
@@ -476,26 +578,33 @@ def _positive_offset_mask(offsets: np.ndarray) -> np.ndarray:
     return has_any & (leading > 0)
 
 
-def _group_by_rows(coords: np.ndarray) -> Dict[CellCoord, np.ndarray]:
+def _cell_table(coords: np.ndarray) -> Tuple[np.ndarray, Dict[CellCoord, np.ndarray]]:
     """Group row indices of an integer matrix by identical rows.
 
     One stable ``np.lexsort`` is the whole bucketing pass: stability makes
-    the indices inside each group come out already ascending (what the
-    old code re-sorted per group), and the group bodies are zero-copy
-    views into the single sorted index array.
+    the indices inside each group come out already ascending, and the
+    group bodies are zero-copy views into the single sorted index array.
+    Returns the distinct rows as an ``(m, d)`` array (lexicographically
+    ascending) together with the ``row tuple -> indices`` dict in the same
+    order.
     """
     if len(coords) == 0:
-        return {}
+        return np.empty((0, coords.shape[1]), dtype=coords.dtype), {}
     order = np.lexsort(coords.T[::-1])
     sorted_coords = coords[order]
     change = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
     starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
     bounds = np.append(starts, len(coords))
-    keys = sorted_coords[starts].tolist()
+    rows = sorted_coords[starts]
     groups: Dict[CellCoord, np.ndarray] = {}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(rows.tolist()):
         groups[tuple(key)] = order[bounds[i]:bounds[i + 1]]
-    return groups
+    return rows, groups
+
+
+def _group_by_rows(coords: np.ndarray) -> Dict[CellCoord, np.ndarray]:
+    """The ``row tuple -> indices`` dict of :func:`_cell_table`."""
+    return _cell_table(coords)[1]
 
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)

@@ -286,11 +286,7 @@ def grid_soa(grid: Grid) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
     keys = list(grid.cells.keys())
     m = len(keys)
     dim = int(grid.dim)
-    cell_coords = (
-        np.asarray(keys, dtype=np.int64).reshape(m, dim)
-        if m
-        else np.empty((0, dim), dtype=np.int64)
-    )
+    cell_coords = grid.cell_coords
     counts = np.fromiter(
         (len(grid.cells[k]) for k in keys), dtype=np.int64, count=m
     )

@@ -28,9 +28,11 @@ def test_neighbor_cells_agree(d, seed):
     eps = 3.0
     offsets_grid = forced(pts, eps, use_allpairs=False)
     allpairs_grid = forced(pts, eps, use_allpairs=True)
+    # Rows must agree in order, not just as sets: labeling's early exit
+    # scans them lazily.
     for cell in offsets_grid.cells:
-        a = sorted(offsets_grid.neighbor_cells(cell))
-        b = sorted(allpairs_grid.neighbor_cells(cell))
+        a = list(offsets_grid.neighbor_cells(cell))
+        b = list(allpairs_grid.neighbor_cells(cell))
         assert a == b, cell
 
 
@@ -40,8 +42,8 @@ def test_neighbor_cells_include_self_agree(d):
     offsets_grid = forced(pts, 2.5, use_allpairs=False)
     allpairs_grid = forced(pts, 2.5, use_allpairs=True)
     cell = next(iter(offsets_grid.cells))
-    a = sorted(offsets_grid.neighbor_cells(cell, include_self=True))
-    b = sorted(allpairs_grid.neighbor_cells(cell, include_self=True))
+    a = list(offsets_grid.neighbor_cells(cell, include_self=True))
+    b = list(allpairs_grid.neighbor_cells(cell, include_self=True))
     assert a == b
     assert cell in a
 
