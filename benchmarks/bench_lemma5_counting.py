@@ -2,10 +2,11 @@
 
 Two claims are measured here:
 
-* **Lemma 5 complexity** (reference structure): O(n) expected construction
-  and O(1) expected query for fixed eps, rho, d — build time grows
-  ~linearly over a doubling-n sweep, per-query time stays flat, and the
-  counting contract is re-verified on every sampled query.
+* **Lemma 5 complexity** (reference structure,
+  ``tests/oracles/hierarchy.py``): O(n) expected construction and O(1)
+  expected query for fixed eps, rho, d — build time grows ~linearly over
+  a doubling-n sweep, per-query time stays flat, and the counting
+  contract is re-verified on every sampled query.
 * **Kernel speedup** (:class:`~repro.grid.FlatHierarchy`): the batched
   structure-of-arrays traversal must answer the same query workload at
   least :data:`TARGET_BATCH_SPEEDUP` times faster than the per-point
@@ -35,7 +36,8 @@ from repro.data import seed_spreader
 from repro.evaluation import format_table
 from repro.evaluation.timing import timed
 from repro.geometry import distance as dm
-from repro.grid.hierarchy import CountingHierarchy, FlatHierarchy
+from repro.grid.hierarchy import FlatHierarchy
+from tests.oracles.hierarchy import CountingHierarchy
 
 from . import config as cfg
 

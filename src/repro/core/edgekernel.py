@@ -41,9 +41,9 @@ settles the bulk of the pairs with three staged, vectorised passes:
 Every stage only skips work whose outcome is already determined, so the
 resolved component structure — and therefore the final labels, which are
 assigned by cell insertion order — is byte-identical to the per-pair
-loop's.  The kernel reports its funnel through :mod:`repro.grid.counters`
-(``edge_*``), which the pipeline publishes under
-``meta["kernel_counters"]``.
+reference loop's (``tests/oracles/cellgraph.py``).  The kernel reports
+its funnel through :mod:`repro.grid.counters` (``edge_*``), which the
+pipeline publishes under ``meta["kernel_counters"]``.
 """
 
 from __future__ import annotations
@@ -285,11 +285,13 @@ def apply_preunion_dense(
 ) -> None:
     """Seed a dense forest with known same-component cell pairs.
 
-    The dense-id analogue of :func:`repro.core.cellgraph.apply_preunion`,
-    as one ``union_many`` batch: pairs naming cells outside ``index`` are
-    skipped, and seeding same-component pairs never changes the final
-    partition or its labels (labels come from id order, fixed at
-    construction).
+    Each ``preunion`` pair must lie in the same connected component of the
+    graph being built (e.g. carried forward from a smaller ``eps`` in a
+    monotone sweep — Theorem 3: clusters only merge as ``eps`` grows).
+    The pairs merge as one ``union_many`` batch; pairs naming cells
+    outside ``index`` are skipped.  Seeding same-component pairs never
+    changes the final partition or its labels (labels come from id order,
+    fixed at construction).
     """
     if not preunion:
         return

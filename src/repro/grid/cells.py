@@ -23,7 +23,9 @@ cell ``c`` along one run are exactly the sorted keys in
 (not per offset) finds where each interval starts, and a second one,
 run only for the intervals that hold a key, finds where it ends.  Grids
 too wide to pack fall back to the same runs over a structured row view,
-with the emptiness test made in coordinate space.
+with the emptiness test made in coordinate space.  High-dimensional
+grids, whose offset table dwarfs their cell count, run all-pairs box
+tests instead; either build yields the same CSR rows.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ class Grid:
         # In high dimensions the offset table explodes (~257k entries for
         # d = 7, ~1.6k for d = 4) far past the number of non-empty cells;
         # there, probing offsets is hopeless and a (chunked, vectorised)
-        # all-pairs box-distance computation builds the full adjacency map
+        # all-pairs box-distance computation builds the same CSR adjacency
         # instead.  Built lazily on first neighbour query.
-        self._adjacency: Dict[CellCoord, List[CellCoord]] | _CSRAdjacency | None = None
+        self._adjacency: _CSRAdjacency | None = None
         m = len(self._cells)
         self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
 
@@ -135,7 +137,7 @@ class Grid:
         arrays (typically shared-memory mappings), so attaching workers
         reconstruct the parent's grid without materialising anything.
         ``cell_coords`` must be in the insertion order of the original
-        ``cells`` dict (which :func:`_group_by_rows` makes lexicographic),
+        ``cells`` dict (which :func:`_cell_table` makes lexicographic),
         and the CSR rows must preserve the original per-row neighbour
         order — both are what keeps parallel output byte-identical.
         """
@@ -155,13 +157,9 @@ class Grid:
         self._cells = cells
         self._cell_coords = np.asarray(cell_coords, dtype=np.int64)
         self._offsets = neighbor_offsets(self.eps, self.side, self.dim)
-        keys = list(cells.keys())
-        index = {c: t for t, c in enumerate(keys)}
-        self._adjacency = _CSRAdjacency(
-            keys,
+        self._adjacency = self._csr(
             np.asarray(adj_indptr, dtype=np.int64),
             np.asarray(adj_indices, dtype=np.int64),
-            index,
         )
         self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
         return self
@@ -196,23 +194,27 @@ class Grid:
 
     # ------------------------------------------------------------- neighbours
 
-    def _ensure_adjacency(self):
-        """Build (once) the full cell-adjacency map.
+    def _ensure_adjacency(self) -> "_CSRAdjacency":
+        """Build (once) the full cell adjacency in CSR form.
 
-        Low dimensions use interval probes over the offset runs and store
-        the map in CSR form (index arrays, no per-cell Python lists); the
+        Low dimensions use interval probes over the offset runs; the
         high-``d`` regime, where the offset table dwarfs the cell count,
-        falls back to all-pairs box tests (:meth:`adjacency_rows`) and a
-        plain dict.
-        :meth:`neighbor_cells` reads either representation.
+        runs all-pairs box tests (:meth:`adjacency_rows`).  Both give each
+        row in ascending neighbour id, which is offset-table order.
         """
-        if self._adjacency is not None:
-            return self._adjacency
-        if self._use_allpairs:
-            self._adjacency = self.adjacency_rows(list(self._cells.keys()))
-        else:
-            self._adjacency = self._adjacency_from_offsets()
+        if self._adjacency is None:
+            if self._use_allpairs:
+                lengths, indices = self.adjacency_rows(0, len(self._cells))
+                indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+                np.cumsum(lengths, out=indptr[1:])
+                self.install_adjacency(indptr, indices)
+            else:
+                self._adjacency = self._adjacency_from_offsets()
         return self._adjacency
+
+    def _csr(self, indptr: np.ndarray, indices: np.ndarray) -> "_CSRAdjacency":
+        keys = list(self._cells.keys())
+        return _CSRAdjacency(keys, indptr, indices, {c: t for t, c in enumerate(keys)})
 
     def _adjacency_from_offsets(self) -> "_CSRAdjacency":
         """CSR adjacency via interval probes over the non-zero offset runs.
@@ -222,43 +224,44 @@ class Grid:
         range expansion yields each row in offset-table order — the order
         callers that scan neighbours lazily (labeling early-exit) observe.
         """
-        keys = list(self._cells.keys())
-        index = {c: t for t, c in enumerate(keys)}
-        m = len(keys)
-        indptr = np.zeros(m + 1, dtype=np.int64)
+        m = len(self._cells)
         if m < 2:
-            return _CSRAdjacency(keys, indptr, _EMPTY_IDX, index)
+            return self._csr(np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX)
         nonzero = self._offsets[(self._offsets != 0).any(axis=1)]
         src, first, count, _ = _interval_probes(self._cell_coords, _offset_runs(nonzero))
         order = np.argsort(src, kind="stable")
+        indptr = np.zeros(m + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(src, weights=count, minlength=m))
-        return _CSRAdjacency(keys, indptr, _expand_ranges(first[order], count[order]), index)
+        return self._csr(indptr, expand_ranges(first[order], count[order]))
 
-    def adjacency_rows(self, keys_block: List[CellCoord]) -> Dict[CellCoord, List[CellCoord]]:
-        """Adjacency lists for a block of cells, by vectorised box tests.
+    def adjacency_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR rows of cells ``start .. stop - 1``, by vectorised box tests.
 
-        The unit of work of the all-pairs adjacency build: each block row
-        is independent of every other, which is what lets the parallel
-        executor shard the build across workers and merge the returned
-        dicts (:func:`repro.parallel.executor.parallel_warm_neighbors`).
+        Returns ``(lengths, indices)``: row lengths, and the neighbour ids
+        of every row concatenated, each row ascending.  The unit of work of
+        the all-pairs adjacency build: rows are independent of each other,
+        which is what lets the parallel executor shard the build over
+        contiguous id ranges and concatenate the blocks
+        (:func:`repro.parallel.executor.parallel_warm_neighbors`).
         Internally chunked so the ``rows x cells`` distance blocks stay a
-        few million elements regardless of block size.
+        few million elements regardless of range size.
         """
-        keys = list(self._cells.keys())
         coords = self._cell_coords
         limit = self.eps * self.eps * (1.0 + 1e-9)
-        block_keys = [tuple(k) for k in keys_block]
-        out: Dict[CellCoord, List[CellCoord]] = {}
-        sub = max(1, 2_000_000 // max(len(keys) * self.dim, 1))
-        for start in range(0, len(block_keys), sub):
-            part = block_keys[start:start + sub]
-            block = np.asarray(part, dtype=np.int64).reshape(len(part), self.dim)
+        sub = max(1, 2_000_000 // max(len(coords) * self.dim, 1))
+        lengths: List[np.ndarray] = [_EMPTY_IDX]
+        indices: List[np.ndarray] = [_EMPTY_IDX]
+        for lo in range(start, stop, sub):
+            hi = min(lo + sub, stop)
+            block = coords[lo:hi]
             gaps = (np.maximum(np.abs(block[:, None, :] - coords[None, :, :]) - 1, 0)
                     * self.side)
             ok = np.einsum("bmd,bmd->bm", gaps, gaps) <= limit
-            for bi, key in enumerate(part):
-                out[key] = [keys[j] for j in np.nonzero(ok[bi])[0] if keys[j] != key]
-        return out
+            ok[np.arange(hi - lo), np.arange(lo, hi)] = False
+            rows, cols = np.nonzero(ok)
+            lengths.append(np.bincount(rows, minlength=hi - lo))
+            indices.append(cols)
+        return np.concatenate(lengths), np.concatenate(indices)
 
     @property
     def needs_neighbor_warmup(self) -> bool:
@@ -284,18 +287,18 @@ class Grid:
         """
         self._ensure_adjacency()
 
-    def install_adjacency(self, adjacency: Dict[CellCoord, List[CellCoord]]) -> None:
-        """Install an externally assembled adjacency map.
+    def install_adjacency(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Install an externally assembled CSR adjacency.
 
         Used by the parallel executor after sharding
-        :meth:`adjacency_rows` across workers; the map must cover every
+        :meth:`adjacency_rows` across workers; ``indptr`` must cover every
         non-empty cell.
         """
-        if len(adjacency) != len(self._cells):
+        if len(indptr) != len(self._cells) + 1:
             raise ParameterError(
-                f"adjacency covers {len(adjacency)} cells; grid has {len(self._cells)}"
+                f"adjacency covers {len(indptr) - 1} cells; grid has {len(self._cells)}"
             )
-        self._adjacency = adjacency
+        self._adjacency = self._csr(indptr, indices)
 
     def neighbor_cells(self, cell: CellCoord, *, include_self: bool = False) -> Iterator[CellCoord]:
         """Yield the non-empty eps-neighbour cells of ``cell``.
@@ -308,11 +311,7 @@ class Grid:
         if cell in self._cells:
             if include_self:
                 yield cell
-            adjacency = self._ensure_adjacency()
-            if isinstance(adjacency, _CSRAdjacency):
-                yield from adjacency.row(cell)
-            else:
-                yield from adjacency[cell]
+            yield from self._ensure_adjacency().row(cell)
             return
         # A coordinate with no points has no adjacency row; probe offsets.
         base = np.asarray(cell, dtype=np.int64)
@@ -342,37 +341,38 @@ class Grid:
         endpoints a carried pre-union already connects) instead of paying
         a Python-level yield per pair.  ``i``-side cells precede their
         ``j`` partners lexicographically, matching the orientation contract
-        of :meth:`neighbor_cell_pairs`.  Pairs come offset-major (positive
-        offsets in table order), ``i`` ascending within an offset.
+        of :meth:`neighbor_cell_pairs`.  Probed grids give pairs
+        offset-major (positive offsets in table order), ``i`` ascending
+        within an offset; all-pairs grids read them off the CSR rows,
+        ``i``-major.
         """
         sub_keys = list(self._cells.keys())
         coords = self._cell_coords
+        kept = np.arange(len(sub_keys))
         if subset is not None:
             allowed = set(map(tuple, subset))
-            kept = [t for t, c in enumerate(sub_keys) if c in allowed]
-            sub_keys = [sub_keys[t] for t in kept]
+            kept = np.asarray([t for t, c in enumerate(sub_keys) if c in allowed], dtype=np.int64)
+            sub_keys = [sub_keys[t] for t in kept.tolist()]
             coords = coords[kept]
-        empty = np.empty(0, dtype=np.int64)
         if len(sub_keys) < 2:
-            return sub_keys, empty, empty
+            return sub_keys, _EMPTY_IDX, _EMPTY_IDX
         if self._use_allpairs:
-            index = {c: t for t, c in enumerate(sub_keys)}
+            # Each row's partners are ascending; keep the subset partners
+            # with a larger id, renumbered to subset positions.
             adjacency = self._ensure_adjacency()
-            ii: List[int] = []
-            jj: List[int] = []
-            for t, cell in enumerate(sub_keys):
-                for other in adjacency[cell]:
-                    u = index.get(other)
-                    if u is not None and cell < other:
-                        ii.append(t)
-                        jj.append(u)
-            return sub_keys, np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
+            pos = np.full(len(self._cells), -1, dtype=np.int64)
+            pos[kept] = np.arange(len(kept))
+            count = adjacency.indptr[kept + 1] - adjacency.indptr[kept]
+            src = np.repeat(np.arange(len(kept)), count)
+            dst = pos[adjacency.indices[expand_ranges(adjacency.indptr[kept], count)]]
+            keep = dst > src
+            return sub_keys, src[keep], dst[keep]
         positive = self._offsets[_positive_offset_mask(self._offsets)]
         runs = _offset_runs(positive)
         src, first, count, per_run = _interval_probes(coords, runs)
         if not len(src):
-            return sub_keys, empty, empty
-        jj = _expand_ranges(first, count)
+            return sub_keys, _EMPTY_IDX, _EMPTY_IDX
+        jj = expand_ranges(first, count)
         # Offset rank of each pair: its run's first rank plus the step along
         # the last axis.  One stable sort on it restores offset-major order
         # with ``i`` ascending inside each offset.
@@ -424,11 +424,6 @@ class _CSRAdjacency:
         keys = self.keys
         for j in self.indices[self.indptr[t]:self.indptr[t + 1]].tolist():
             yield keys[j]
-
-    def __getitem__(self, cell: CellCoord) -> List[CellCoord]:
-        """Dict-style row access, so CSR can stand in for the all-pairs
-        adjacency dict (e.g. on grids rebuilt via :meth:`Grid.from_soa`)."""
-        return list(self.row(cell))
 
 
 def _row_view(a: np.ndarray) -> np.ndarray:
@@ -555,17 +550,22 @@ def _interval_probes(
     return src, first, count, per_run
 
 
-def _expand_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(first[k], first[k] + count[k])`` (every count >= 1).
+def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(starts[k], starts[k] + lengths[k])`` over ``k``.
 
-    One cumulative sum over a step array: 1 inside a range, and at each
-    range start the jump from the previous range's end.
+    Zero-length ranges contribute nothing.  One cumulative sum over a step
+    array: 1 inside a range, and at each range start the jump from the
+    previous range's end.  ``values[expand_ranges(s, l)]`` gathers the
+    ranges ``values[s[k] : s[k] + l[k]]`` in one fancy index.
     """
-    if not len(first):
+    if not lengths.all():
+        keep = lengths > 0
+        starts, lengths = starts[keep], lengths[keep]
+    if not len(starts):
         return _EMPTY_IDX
-    steps = np.ones(int(count.sum()), dtype=np.int64)
-    steps[0] = first[0]
-    steps[np.cumsum(count[:-1])] = first[1:] - (first[:-1] + count[:-1] - 1)
+    steps = np.ones(int(lengths.sum()), dtype=np.int64)
+    steps[0] = starts[0]
+    steps[np.cumsum(lengths[:-1])] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
     return np.cumsum(steps, out=steps)
 
 

@@ -533,14 +533,15 @@ def parallel_warm_neighbors(
     deadline: Optional[Deadline] = None,
     memory: Optional[MemoryBudget] = None,
 ) -> None:
-    """Build the grid's all-pairs adjacency map, sharded over the pool.
+    """Build the grid's all-pairs adjacency, sharded over the pool.
 
     On grids that use the all-pairs neighbour strategy this build is the
     dominant *serial* cost of a parallel run (every later phase only reads
-    the finished map), so it gets its own fan-out: workers compute
-    :meth:`~repro.grid.cells.Grid.adjacency_rows` for blocks of cells and
-    the parent merges the rows and installs the map.  A no-op when the
-    grid probes offsets instead, and serial below the fallback thresholds.
+    the finished adjacency), so it gets its own fan-out: workers compute
+    :meth:`~repro.grid.cells.Grid.adjacency_rows` for contiguous ranges of
+    cell ids, and the parent concatenates the blocks in id order into one
+    CSR and installs it.  A no-op when the grid probes offsets instead,
+    and serial below the fallback thresholds.
 
     Every later payload then carries the *warm* grid: under fork the
     workers of subsequent phases inherit the table copy-on-write; under
@@ -553,18 +554,27 @@ def parallel_warm_neighbors(
         grid.warm_neighbors()
         return
     _check_guards(deadline, memory, "grid")
-    keys = list(grid.cells.keys())
-    block = max(1, (len(keys) + n_workers * OVERSHARD - 1) // (n_workers * OVERSHARD))
-    blocks = chunked(keys, block)
+    m = len(grid)
+    block = max(1, (m + n_workers * OVERSHARD - 1) // (n_workers * OVERSHARD))
+    ranges = [(start, min(start + block, m)) for start in range(0, m, block)]
     payload = _base_payload(grid, "grid", deadline, memory)
-    adjacency = {}
-    _log.debug("adjacency warm-up: %d blocks over %d workers", len(blocks), n_workers)
+    # Results arrive unordered and may repeat; keyed by start id, a
+    # duplicate simply overwrites its identical twin.
+    blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    _log.debug("adjacency warm-up: %d blocks over %d workers", len(ranges), n_workers)
+
+    def consume(result) -> None:
+        start, lengths, indices = result
+        blocks[start] = (lengths, indices)
+
     _fan_out(
-        cfg, n_workers, payload, "adjacency", blocks,
-        lambda rows: adjacency.update(rows),
+        cfg, n_workers, payload, "adjacency", ranges, consume,
         deadline=deadline, memory=memory,
     )
-    grid.install_adjacency(adjacency)
+    rows = [blocks[start] for start, _ in ranges]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([lengths for lengths, _ in rows]), out=indptr[1:])
+    grid.install_adjacency(indptr, np.concatenate([indices for _, indices in rows]))
 
 
 def _pool(cfg: ParallelConfig, n_workers: int, payload: Dict[str, object]):
@@ -660,9 +670,9 @@ def parallel_exact_components(
     """Phase-3 exact connectivity: per-shard forests + boundary stitching.
 
     ``preunion`` seeds known same-component cell pairs
-    (:func:`repro.core.cellgraph.apply_preunion`) into both the parent's
-    stitching forest and every worker's chunk-local forest, so seeded
-    connectivity short-circuits BCP tests everywhere.  ``structures``
+    (:func:`repro.core.edgekernel.apply_preunion_dense`) into both the
+    parent's stitching forest and every worker's chunk-local forest, so
+    seeded connectivity short-circuits BCP tests everywhere.  ``structures``
     seeds the per-cell search-structure cache of
     :func:`repro.core.cellgraph.exact_edge_predicate` (kd-trees / Voronoi
     diagrams) — the engine's warm-cache seam, mirroring the Lemma 5
@@ -762,8 +772,7 @@ def _parallel_components(
     # by first appearance in id order) come out identical.  Seeded with
     # the pre-union carry, it also filters the candidate pairs: pairs the
     # seed already connects never need an edge test anywhere — drop them
-    # before sharding so neither the payload nor any worker carries them
-    # (see cellgraph.candidate_cell_pairs).
+    # before sharding so neither the payload nor any worker carries them.
     uf = DenseUnionFind(len(index))
     apply_preunion_dense(uf, index, preunion)
     keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())

@@ -49,6 +49,7 @@ from typing import Dict, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.corekernel import grid_soa as cell_soa
 from repro.errors import ParameterError
 from repro.grid.cells import Grid
 from repro.runtime.memory import MemoryBudget
@@ -277,57 +278,26 @@ class SharedBlock:
 def grid_soa(grid: Grid) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
     """Export a grid's hot state as SoA arrays plus scalar meta.
 
-    Forces the adjacency build first (serial if nobody warmed it): the
-    published CSR must be the parent's own table so workers observe the
-    exact row order the serial code observes (labeling early-exits scan
-    rows lazily, and byte-identity needs identical scan order).
+    Reads the grid's cached cell pack (:func:`repro.core.corekernel.grid_soa`),
+    which forces the adjacency build first (serial if nobody warmed it):
+    the published CSR must be the parent's own table so workers observe
+    exactly the rows, in the order, the serial code observes.
     """
-    adjacency = grid._ensure_adjacency()
-    keys = list(grid.cells.keys())
-    m = len(keys)
-    dim = int(grid.dim)
-    cell_coords = grid.cell_coords
-    counts = np.fromiter(
-        (len(grid.cells[k]) for k in keys), dtype=np.int64, count=m
-    )
-    cell_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=cell_indptr[1:])
-    cell_order = (
-        np.concatenate([np.asarray(grid.cells[k], dtype=np.int64) for k in keys])
-        if m
-        else np.empty(0, dtype=np.int64)
-    )
-    if isinstance(adjacency, dict):
-        # All-pairs grids build a plain dict; re-express it as CSR over the
-        # same key order, preserving each row's neighbour order.
-        index = {k: t for t, k in enumerate(keys)}
-        row_lens = np.fromiter(
-            (len(adjacency[k]) for k in keys), dtype=np.int64, count=m
-        )
-        adj_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(row_lens, out=adj_indptr[1:])
-        adj_indices = np.fromiter(
-            (index[n] for k in keys for n in adjacency[k]),
-            dtype=np.int64,
-            count=int(adj_indptr[-1]),
-        )
-    else:
-        adj_indptr = np.asarray(adjacency.indptr, dtype=np.int64)
-        adj_indices = np.asarray(adjacency.indices, dtype=np.int64)
+    soa = cell_soa(grid)
+    cell_indptr = np.append(soa.offsets, len(soa.cat))
     arrays = {
         "points": grid.points,
         "point_cells": grid.point_cells,
-        "cell_coords": cell_coords,
+        "cell_coords": grid.cell_coords,
         "cell_indptr": cell_indptr,
-        "cell_order": cell_order,
-        "adj_indptr": adj_indptr,
-        "adj_indices": adj_indices,
+        "cell_order": soa.cat,
+        "adj_indptr": soa.adj_indptr,
+        "adj_indices": soa.adj_indices,
     }
     meta = {
         "eps": float(grid.eps),
         "side": float(grid.side),
-        "dim": dim,
-        "allpairs_adjacency": bool(isinstance(adjacency, dict)),
+        "dim": int(grid.dim),
         "fingerprint": fingerprint_points(grid.points),
     }
     return arrays, meta

@@ -31,7 +31,7 @@ same slots with exactly the same values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -178,19 +178,22 @@ def _guards() -> Tuple[Optional[Deadline], Optional[MemoryBudget], str]:
     return ctx["deadline"], ctx["memory"], str(ctx["phase"])
 
 
-def adjacency_task(
-    cell_block: Sequence[CellCoord],
-) -> List[Tuple[CellCoord, List[CellCoord]]]:
-    """All-pairs adjacency rows for one block of cells."""
+def adjacency_task(block: Tuple[int, int]) -> Tuple[int, np.ndarray, np.ndarray]:
+    """All-pairs CSR rows for the cell ids ``start .. stop - 1``.
+
+    Returns ``(start, lengths, indices)`` so the parent can place the
+    block whatever order the results arrive in.
+    """
     ctx = _ctx()
     deadline, memory, phase = _guards()
     if deadline is not None:
         deadline.tick()
     grid: Grid = ctx["grid"]
-    rows = grid.adjacency_rows(list(cell_block))
+    start, stop = block
+    lengths, indices = grid.adjacency_rows(start, stop)
     if memory is not None:
         memory.check(phase)
-    return list(rows.items())
+    return start, lengths, indices
 
 
 def _cell_range(ctx: Dict[str, object], start: int, stop: int) -> List[CellCoord]:

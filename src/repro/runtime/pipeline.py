@@ -83,7 +83,8 @@ class PipelineHooks:
         when ``core_mask`` is given.
     preunion:
         Cell pairs already known to be in the same component of the
-        core-cell graph (see :func:`repro.core.cellgraph.apply_preunion`).
+        core-cell graph (see
+        :func:`repro.core.edgekernel.apply_preunion_dense`).
         The pipeline only carries this — the algorithm's connect closure
         consumes it.
     structures:

@@ -1,16 +1,17 @@
-"""Per-offset probe reference for the grid's eps-neighbour cell adjacency.
+"""Reference builds of the grid's eps-neighbour cell adjacency.
 
-One ``searchsorted`` of every cell per neighbour offset: rows are packed
-into mixed-radix int64 keys (the radix is padded by the offset reach, so a
-shift is one scalar addition), with a structured row view as the overflow
-fallback.  Slow but obviously right; :class:`repro.grid.cells.Grid` must
-reproduce its CSR adjacency and cell-pair arrays exactly (values, order
-and dtype).
+The per-offset probe: one ``searchsorted`` of every cell per neighbour
+offset, with rows packed into mixed-radix int64 keys (the radix is padded
+by the offset reach, so a shift is one scalar addition) and a structured
+row view as the overflow fallback.  The all-pairs build: box tests of each
+cell against every cell, kept as a ``cell -> [neighbour cells]`` dict.
+Slow but obviously right; :class:`repro.grid.cells.Grid` must reproduce
+their CSR adjacency and cell-pair arrays exactly (values, order and dtype).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -104,3 +105,48 @@ def cell_pair_arrays(
         np.concatenate([h[0] for h in hits]),
         np.concatenate([h[1] for h in hits]),
     )
+
+
+def allpairs_adjacency(grid) -> Dict[tuple, List[tuple]]:
+    """``cell -> [neighbour cells]`` by box tests against every cell, ids ascending."""
+    keys = list(grid.cells.keys())
+    coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), grid.dim)
+    limit = grid.eps * grid.eps * (1.0 + 1e-9)
+    out: Dict[tuple, List[tuple]] = {}
+    for key, row in zip(keys, coords):
+        gaps = np.maximum(np.abs(row - coords) - 1, 0) * grid.side
+        ok = np.einsum("md,md->m", gaps, gaps) <= limit
+        out[key] = [keys[j] for j in np.nonzero(ok)[0] if keys[j] != key]
+    return out
+
+
+def allpairs_csr(grid) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of :func:`allpairs_adjacency` over the cell order."""
+    keys = list(grid.cells.keys())
+    index = {c: t for t, c in enumerate(keys)}
+    rows = allpairs_adjacency(grid)
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(rows[c]) for c in keys], out=indptr[1:])
+    indices = np.asarray([index[n] for c in keys for n in rows[c]], dtype=np.int64)
+    return indptr, indices
+
+
+def allpairs_pair_arrays(grid, subset=None) -> Tuple[List[tuple], np.ndarray, np.ndarray]:
+    """``(keys, i, j)`` walked off :func:`allpairs_adjacency`: ``i``-major, ``j > i``."""
+    keys = list(grid.cells.keys())
+    if subset is not None:
+        allowed = set(map(tuple, subset))
+        keys = [c for c in keys if c in allowed]
+    if len(keys) < 2:
+        return keys, _EMPTY, _EMPTY
+    index = {c: t for t, c in enumerate(keys)}
+    rows = allpairs_adjacency(grid)
+    ii: List[int] = []
+    jj: List[int] = []
+    for t, cell in enumerate(keys):
+        for other in rows[cell]:
+            u = index.get(other)
+            if u is not None and cell < other:
+                ii.append(t)
+                jj.append(u)
+    return keys, np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)

@@ -7,8 +7,9 @@ from repro import approx_dbscan, dbscan
 from repro.data.seed_spreader import seed_spreader
 from repro.errors import DataError, ParameterError
 from repro.grid.cells import Grid
-from repro.grid.hierarchy import CountingHierarchy
 from repro.index.kdtree import KDTree
+
+from .oracles.hierarchy import CountingHierarchy
 
 
 class TestOneDimensional:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.grid.cells import Grid, default_side, neighbor_offsets
+from repro.grid.cells import Grid, default_side, expand_ranges, neighbor_offsets
 
 
 class TestDefaultSide:
@@ -190,3 +190,15 @@ class TestNeighborCellPairs:
                 gap = np.maximum(np.abs(a - b) - 1, 0) * side
                 if (gap ** 2).sum() <= eps * eps:
                     assert frozenset((cells[i], cells[j])) in got
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_expand_ranges_matches_concatenated_aranges(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    starts = rng.integers(-20, 60, size=n)
+    lengths = rng.integers(0, 4, size=n)  # zero-length ranges included
+    want = [np.arange(s, s + k) for s, k in zip(starts.tolist(), lengths.tolist())]
+    got = expand_ranges(starts, lengths)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.concatenate(want + [np.empty(0, np.int64)]).tolist()

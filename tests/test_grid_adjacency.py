@@ -1,10 +1,12 @@
-"""Differential tests: interval-probe adjacency vs the per-offset probe oracle.
+"""Differential tests: the grid's CSR adjacency vs the reference builds.
 
 ``Grid`` builds its eps-neighbour CSR adjacency and its cell-pair arrays
 with one ``searchsorted`` per offset run; ``tests.oracles.grid_probe``
 does one per offset.  Both must agree exactly — values, order and dtype —
 on every input, including grids too wide for packed int64 keys, where
-production falls back to structured rows.
+production falls back to structured rows.  High-dimensional grids build
+the same CSR from all-pairs box tests, serially or sharded over workers;
+it must equal the reference ``cell -> [neighbours]`` dict build.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 import repro.grid.cells as cells_mod
 from repro.api import dbscan
 from repro.grid.cells import Grid
+from repro.parallel import executor
+from repro.parallel.executor import ParallelConfig, parallel_warm_neighbors
 
 from .conftest import make_blobs
 from .oracles import grid_probe
@@ -146,9 +150,11 @@ def test_overflow_fallback_matches_oracle(d, spread, row_probes):
     assert row_probes, "the structured-row fallback was not taken"
     # The fallback's rows also equal the all-pairs box tests, in order.
     keys = list(grid.cells)
-    rows = grid.adjacency_rows(keys)
-    for cell in keys:
-        assert list(grid.neighbor_cells(cell)) == rows[cell]
+    lengths, indices = grid.adjacency_rows(0, len(keys))
+    ends = np.cumsum(lengths)
+    for t, cell in enumerate(keys):
+        row = [keys[j] for j in indices[ends[t] - lengths[t]:ends[t]]]
+        assert list(grid.neighbor_cells(cell)) == row
 
 
 def test_overflow_fallback_dbscan_matches_brute(row_probes):
@@ -158,3 +164,96 @@ def test_overflow_fallback_dbscan_matches_brute(row_probes):
     want = dbscan(pts, 1.0, 5, algorithm="brute")
     assert got == want
     np.testing.assert_array_equal(got.labels, want.labels)
+
+
+# ------------------------------------------------------------ all-pairs build
+
+
+def allpairs_grid(points, eps):
+    """A grid forced onto the all-pairs build."""
+    grid = Grid(points, eps)
+    grid._use_allpairs = True
+    return grid
+
+
+def assert_matches_allpairs_oracle(grid, subsets):
+    grid.warm_neighbors()
+    indptr, indices = grid_probe.allpairs_csr(grid)
+    assert_same_array(grid._adjacency.indptr, indptr)
+    assert_same_array(grid._adjacency.indices, indices)
+    for subset in subsets:
+        keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=subset)
+        want_keys, want_i, want_j = grid_probe.allpairs_pair_arrays(grid, subset)
+        assert keys == want_keys
+        assert_same_array(ii, want_i)
+        assert_same_array(jj, want_j)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["blobs", "uniform", "negative"])
+def test_allpairs_matches_oracle(d, kind):
+    seed = 300 + 10 * d + len(kind)
+    grid = allpairs_grid(dataset(kind, 200, d, seed), 3.0)
+    assert len(grid) > 2
+    assert_matches_allpairs_oracle(grid, subsets_of(grid, seed))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_allpairs_tiny_grids(d):
+    eps = 1.0
+    side = eps / np.sqrt(d)
+    one = np.full((1, d), 0.25 * side)
+    near = np.vstack([one, one + np.eye(d)[-1] * side])
+    far = np.vstack([one, one + 10.0])
+    for pts, m, pairs in ((np.empty((0, d)), 0, 0), (one, 1, 0), (near, 2, 1), (far, 2, 0)):
+        grid = allpairs_grid(pts, eps)
+        assert len(grid) == m
+        assert_matches_allpairs_oracle(grid, [None, [], list(grid.cells)[:1]])
+        assert len(grid.neighbor_cell_pair_arrays()[1]) == pairs
+
+
+def test_high_dimension_default_takes_allpairs():
+    """A 400-point d=5 grid picks the all-pairs build without being forced."""
+    grid = Grid(dataset("uniform", 400, 5, 21), 3.0)
+    assert grid.uses_allpairs_adjacency
+    assert_matches_allpairs_oracle(grid, subsets_of(grid, 21))
+
+
+def _parallel_warmed(points, eps):
+    grid = Grid(points, eps)
+    assert grid.uses_allpairs_adjacency and grid.needs_neighbor_warmup
+    parallel_warm_neighbors(grid, ParallelConfig(workers=2, min_points=0))
+    assert not grid.needs_neighbor_warmup
+    return grid._adjacency
+
+
+def test_parallel_warm_installs_serial_csr():
+    pts = dataset("uniform", 400, 5, 22)
+    serial = Grid(pts, 3.0)
+    serial.warm_neighbors()
+    parallel = _parallel_warmed(pts, 3.0)
+    assert_same_array(parallel.indptr, serial._adjacency.indptr)
+    assert_same_array(parallel.indices, serial._adjacency.indices)
+
+
+def test_parallel_warm_tolerates_reordered_and_repeated_blocks(monkeypatch):
+    """Blocks may arrive in any order and more than once (``_fan_out``'s contract)."""
+    real = executor._fan_out
+    delivered = []
+
+    def replay(cfg, n_workers, payload, kind, items, consume, **guards):
+        results = []
+        real(cfg, n_workers, payload, kind, items, results.append, **guards)
+        assert len(results) > 1
+        delivered.extend(results[::-1] + results[:1])
+        for result in delivered:
+            consume(result)
+
+    monkeypatch.setattr(executor, "_fan_out", replay)
+    pts = dataset("uniform", 400, 5, 23)
+    serial = Grid(pts, 3.0)
+    serial.warm_neighbors()
+    parallel = _parallel_warmed(pts, 3.0)
+    assert delivered
+    assert_same_array(parallel.indptr, serial._adjacency.indptr)
+    assert_same_array(parallel.indices, serial._adjacency.indices)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import DataError, ParameterError
-from repro.grid.hierarchy import CountingHierarchy
+
+from .oracles.hierarchy import CountingHierarchy
 
 
 def exact_counts(points, q, radius):

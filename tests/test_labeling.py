@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.labeling import label_cores, neighbor_counts
+from repro.core.labeling import label_cores
 from repro.errors import AlgorithmError
 from repro.grid.cells import Grid
 
 from .conftest import brute_neighbor_counts, make_blobs
+from .oracles.phases import neighbor_counts
 
 
 class TestLabelCores:

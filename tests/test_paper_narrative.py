@@ -122,7 +122,7 @@ class TestTheorem4LinearBehaviour:
     while the number of Lemma 5 cells stays O(n)."""
 
     def test_structure_size_linear(self):
-        from repro.grid.hierarchy import CountingHierarchy
+        from .oracles.hierarchy import CountingHierarchy
 
         sizes = []
         for n in (1000, 2000, 4000):
