@@ -39,7 +39,7 @@ from repro.parallel.shm import (
     publish_grid,
     unpublish_grid,
 )
-from repro.parallel.shard import assign_shards, chunked, shard_cells, split_pairs
+from repro.parallel.shard import pair_tasks, shard_cells
 from repro.parallel.supervisor import (
     SupervisorStats,
     collect_stats,
@@ -58,9 +58,7 @@ __all__ = [
     "parallel_assign_borders",
     "parallel_warm_neighbors",
     "shard_cells",
-    "assign_shards",
-    "split_pairs",
-    "chunked",
+    "pair_tasks",
     "OVERSHARD",
     "BORDER_SLAB_WIDTH",
     "with_transport",

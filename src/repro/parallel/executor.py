@@ -7,15 +7,22 @@ core-cell graph connectivity, border assignment) fan out over a
 * **cores / borders** — per-cell work with read-only inputs; shards of
   spatially contiguous cells are processed independently and the results
   (index/flag arrays, border dicts) merged by direct writes;
-* **components** — candidate cell pairs are split into intra-shard lists
-  (each evaluated under a worker-local union-find, i.e. a per-shard
-  forest) and cross-shard *boundary* chunks; every task returns the pairs
-  it actually united, and the parent stitches all of them into one global
-  :class:`~repro.utils.unionfind.DenseUnionFind` over dense cell ids in
-  the same insertion order the serial path uses — which makes
-  the final component labels *identical*, not merely isomorphic.  Inside
-  each chunk the workers run the same staged edge kernel
-  (:mod:`repro.core.edgekernel`) the serial builders use.
+* **components** — the candidate cell pairs are laid out as task-ordered
+  index arrays (:func:`repro.parallel.shard.pair_tasks`): intra-shard
+  blocks (each evaluated under a worker-local union-find, i.e. a
+  per-shard forest), then cross-shard *boundary* chunks; every task is a
+  ``(start, stop)`` range over those arrays and returns the unions it
+  actually made, keyed by pair position, and the parent stitches all of
+  them into one global :class:`~repro.utils.unionfind.DenseUnionFind`
+  over dense cell ids in the same insertion order the serial path uses —
+  which makes the final component labels *identical*, not merely
+  isomorphic.  Inside each chunk the workers run the same staged edge
+  kernel (:mod:`repro.core.edgekernel`) the serial builders use.
+
+Task items are ``(start, stop)`` ranges on every transport — over the
+grid's cell order for cores/borders, over the pair arrays for components
+— and the phase's array inputs ride in the payload (inherited under
+fork, pickled once per worker under spawn).
 
 Every phase falls back to the serial implementation when the resolved
 worker count is 1, the input is below :attr:`ParallelConfig.min_points`,
@@ -34,9 +41,9 @@ worker crash is fatal.
 **Transport.** With ``ParallelConfig(shm=True)`` (or ``"auto"``, or
 ``REPRO_SHM``) the phases switch to the zero-copy shared-memory transport
 of :mod:`repro.parallel.shm`: the grid's SoA state is published once into
-named segments, task items shrink to ``(start, stop)`` ranges over the
-shard layout, and workers write results into preallocated shared output
-slabs instead of pickling them back.  Slab writes are position-stable and
+named segments along with the phase's array inputs, and the cores and
+borders workers write results into preallocated shared output slabs
+instead of pickling them back.  Slab writes are position-stable and
 idempotent, so every rung of the supervisor's recovery ladder (retry,
 respawn, quarantine, serial requeue) works unchanged — a retried shard
 simply rewrites the same slots.  The parent owns every segment and
@@ -53,7 +60,7 @@ import multiprocessing as mp
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,13 +72,14 @@ from repro.core.cellgraph import (
     core_cells,
     labels_from_dense,
 )
+from repro.core.corekernel import grid_soa
 from repro.core.edgekernel import apply_preunion_dense
 from repro.core.labeling import label_cores
 from repro.errors import MemoryBudgetExceeded, ParameterError, WorkerPoolError
 from repro.grid.cells import Grid
 from repro.parallel import shm as shm_transport
 from repro.parallel import worker
-from repro.parallel.shard import assign_shards, chunked, shard_cells, split_pairs
+from repro.parallel.shard import pair_tasks, shard_cells
 from repro.parallel.supervisor import run_supervised
 from repro.runtime import faultinject
 from repro.runtime.deadline import Deadline
@@ -423,24 +431,6 @@ def _open_shm_session(
     return _ShmSession(grid_block, io_block)
 
 
-def _shard_ranges(shards: List[list]) -> List[Tuple[str, int, int]]:
-    """Range-marker items for contiguous shards of the grid's cell order.
-
-    ``shard_cells`` cuts the *sorted* cell list, and ``_group_by_rows``
-    inserts cells in exactly that order — so every shard is a contiguous
-    run of ``grid.cells.keys()`` and ships as ``(start, stop)`` instead of
-    a pickled key list.  Workers resolve the range against their attached
-    grid (``worker._resolve_item``).
-    """
-    out: List[Tuple[str, int, int]] = []
-    start = 0
-    for shard in shards:
-        stop = start + len(shard)
-        out.append((worker.SHM_RANGE, start, stop))
-        start = stop
-    return out
-
-
 def _fan_out(
     cfg: ParallelConfig,
     n_workers: int,
@@ -455,10 +445,10 @@ def _fan_out(
     """Distribute one phase's tasks over the pool and merge the results.
 
     ``consume`` must be order-independent and idempotent (all four phase
-    merges are: index writes, dict updates, union-find unions, and in shm
-    mode position-stable slab writes), which is what lets the supervisor
-    keep completed work across pool respawns and tolerate a duplicate
-    result from a torn-down pool.
+    merges are: index writes, dict updates, position-stable writes of the
+    component unions, and in shm mode position-stable slab writes), which
+    is what lets the supervisor keep completed work across pool respawns
+    and tolerate a duplicate result from a torn-down pool.
     """
     phase = str(payload.get("phase", kind))
     if cfg.backend == "thread":
@@ -615,8 +605,7 @@ def parallel_label_cores(
         return label_cores(grid, min_pts, deadline=deadline, known_core=known_core)
     _check_guards(deadline, memory, "cores")
     parallel_warm_neighbors(grid, cfg, deadline=deadline, memory=memory)
-    weights = {c: len(idx) for c, idx in grid.cells.items()}
-    shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
+    shards = shard_cells(grid_soa(grid).sizes, n_workers * OVERSHARD)
     payload = _base_payload(grid, "cores", deadline, memory)
     payload["min_pts"] = int(min_pts)
     n = len(grid.points)
@@ -627,12 +616,9 @@ def parallel_label_cores(
         cfg, grid, "cores", memory, inputs, {"core": np.zeros(n, dtype=bool)}
     )
     if session is None:
-        if known_core is not None:
-            payload["known_core"] = known_core
-        items = shards
+        payload.update(inputs)
     else:
         session.install(payload)
-        items = _shard_ranges(shards)
     core = np.zeros(n, dtype=bool)
     _log.debug("cores phase: %d shards over %d workers (shm=%s)",
                len(shards), n_workers, session is not None)
@@ -645,7 +631,7 @@ def parallel_label_cores(
 
     try:
         _fan_out(
-            cfg, n_workers, payload, "cores", items, merge_cores,
+            cfg, n_workers, payload, "cores", shards, merge_cores,
             deadline=deadline, memory=memory,
         )
         if session is not None:
@@ -762,110 +748,62 @@ def _parallel_components(
     _check_guards(deadline, memory, "components")
     parallel_warm_neighbors(grid, cfg, deadline=deadline, memory=memory)
 
-    # The whole phase runs on dense cell ids (positions in the core-cell
-    # insertion order) — the same ids the staged kernel uses inside the
-    # workers' chunks.
-    index = {c: t for t, c in enumerate(cells)}
-
+    # The whole phase runs on dense cell ids: positions in the core-cell
+    # order, which ``neighbor_cell_pair_arrays`` keeps for its subset keys
+    # and the staged kernel uses inside the workers' chunks.
+    #
     # The stitching pass: one forest over *all* core cells, in the same
     # insertion order the serial path uses, so component labels (assigned
     # by first appearance in id order) come out identical.  Seeded with
     # the pre-union carry, it also filters the candidate pairs: pairs the
     # seed already connects never need an edge test anywhere — drop them
     # before sharding so neither the payload nor any worker carries them.
-    uf = DenseUnionFind(len(index))
-    apply_preunion_dense(uf, index, preunion)
-    keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+    uf = DenseUnionFind(len(cells))
+    if preunion:
+        apply_preunion_dense(uf, {c: t for t, c in enumerate(cells)}, preunion)
+    _, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
     if deadline is not None:
         deadline.tick()
-    key_id = np.fromiter((index[c] for c in keys), dtype=np.int64, count=len(keys))
     if preunion and len(ii):
-        seed_root = uf.roots()[key_id]
+        seed_root = uf.roots()
         keep = seed_root[ii] != seed_root[jj]
         ii, jj = ii[keep], jj[keep]
-    weights = {c: len(idx) for c, idx in cells.items()}
-    shards = shard_cells(cells.keys(), n_workers, weights)
-    owner = assign_shards(shards)
+    sizes = np.fromiter(
+        (len(idx) for idx in cells.values()), dtype=np.int64, count=len(cells)
+    )
+    pair_i, pair_j, tasks = pair_tasks(
+        ii, jj, shard_cells(sizes, n_workers), int(cfg.chunk_pairs)
+    )
+    del ii, jj  # the reordered copies replace them before the pool forks
 
     payload = _base_payload(grid, "components", deadline, memory)
     payload.update(edge_payload)
     if preunion:
         payload["preunion"] = list(preunion)
-
-    # Worker unions are collected first and stitched in one union_many.
-    united_i: List[int] = []
-    united_j: List[int] = []
-    session = None
-    if cfg.shm and cfg.backend == "process":
-        # Task-ordered index form of the split_pairs layout: per-shard
-        # intra blocks first, then boundary chunks, each a contiguous
-        # range of the reordered (pair_i, pair_j) arrays — the same pairs
-        # in the same orientation and emission order as the pickled path.
-        owner_of = np.fromiter(
-            (owner[c] for c in keys), dtype=np.int64, count=len(keys)
-        )
-        si, sj = owner_of[ii], owner_of[jj]
-        parts: List[np.ndarray] = []
-        ranges: List[Tuple[int, int]] = []
-        pos = 0
-        for s in range(len(shards)):
-            sel = np.nonzero((si == s) & (sj == s))[0]
-            if len(sel):
-                parts.append(sel)
-                ranges.append((pos, pos + len(sel)))
-                pos += len(sel)
-        boundary_sel = np.nonzero(si != sj)[0]
-        for start in range(0, len(boundary_sel), int(cfg.chunk_pairs)):
-            chunk = boundary_sel[start:start + int(cfg.chunk_pairs)]
-            parts.append(chunk)
-            ranges.append((pos, pos + len(chunk)))
-            pos += len(chunk)
-        order = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        n_pairs = len(order)
-        session = _open_shm_session(
-            cfg, grid, "components", memory,
-            {
-                "core_mask": np.asarray(core_mask, dtype=bool),
-                "pair_i": ii[order],
-                "pair_j": jj[order],
-            },
-            {
-                "edge_i": np.full(n_pairs, -1, dtype=np.int64),
-                "edge_j": np.full(n_pairs, -1, dtype=np.int64),
-            },
-        )
-
-    if session is not None:
-        session.install(payload)
-        tasks: List[object] = [
-            (worker.SHM_RANGE, start, stop) for start, stop in ranges
-        ]
-        _log.debug(
-            "components phase: %d pairs in %d shm tasks over %d workers",
-            n_pairs, len(tasks), n_workers,
-        )
-        consume = lambda acked: None  # noqa: E731 - unions land in the slab
+    inputs = {
+        "core_mask": np.asarray(core_mask, dtype=bool),
+        "pair_i": pair_i,
+        "pair_j": pair_j,
+    }
+    session = _open_shm_session(cfg, grid, "components", memory, inputs, {})
+    if session is None:
+        payload.update(inputs)
     else:
-        payload["core_mask"] = core_mask
-        pairs = [(keys[i], keys[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-        intra, boundary = split_pairs(pairs, owner, len(shards))
-        tasks = [block for block in intra if block]
-        tasks.extend(chunked(boundary, cfg.chunk_pairs))
-        _log.debug(
-            "components phase: %d intra lists + %d boundary pairs in %d tasks "
-            "over %d workers",
-            sum(len(b) for b in intra),
-            len(boundary),
-            len(tasks),
-            n_workers,
-        )
+        session.install(payload)
+    _log.debug(
+        "components phase: %d pairs in %d tasks over %d workers (shm=%s)",
+        len(pair_i), len(tasks), n_workers, session is not None,
+    )
 
-        def consume(united) -> None:
-            for c1, c2 in united:
-                united_i.append(index[c1])
-                united_j.append(index[c2])
+    # Each union lands at the position of the pair that caused it, so a
+    # retried or duplicated result rewrites the same slots.
+    edge_i = np.full(len(pair_i), -1, dtype=np.int64)
+    edge_j = np.full(len(pair_i), -1, dtype=np.int64)
+
+    def consume(result) -> None:
+        t, a, b = result
+        edge_i[t] = a
+        edge_j[t] = b
 
     try:
         if tasks:
@@ -873,18 +811,11 @@ def _parallel_components(
                 cfg, n_workers, payload, "edges", tasks, consume,
                 deadline=deadline, memory=memory,
             )
-        if session is not None:
-            edge_i = session.out("edge_i")
-            edge_j = session.out("edge_j")
-            hit = np.nonzero(edge_i >= 0)[0]
-            stitch_i, stitch_j = key_id[edge_i[hit]], key_id[edge_j[hit]]
-        else:
-            stitch_i = np.array(united_i, dtype=np.int64)
-            stitch_j = np.array(united_j, dtype=np.int64)
     finally:
         if session is not None:
             session.close()
-    uf.union_many(stitch_i, stitch_j)
+    hit = edge_i >= 0
+    uf.union_many(edge_i[hit], edge_j[hit])
     return labels_from_dense(grid, cells, uf)
 
 
@@ -903,8 +834,7 @@ def parallel_assign_borders(
         return assign_borders(grid, core_mask, core_labels, deadline=deadline)
     _check_guards(deadline, memory, "borders")
     parallel_warm_neighbors(grid, cfg, deadline=deadline, memory=memory)
-    weights = {c: len(idx) for c, idx in grid.cells.items()}
-    shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
+    shards = shard_cells(grid_soa(grid).sizes, n_workers * OVERSHARD)
     payload = _base_payload(grid, "borders", deadline, memory)
     n = len(grid.points)
     session = _open_shm_session(
@@ -921,10 +851,8 @@ def parallel_assign_borders(
     if session is None:
         payload["core_mask"] = core_mask
         payload["core_labels"] = core_labels
-        items = shards
     else:
         session.install(payload)
-        items = _shard_ranges(shards)
     out: Dict[int, Tuple[int, ...]] = {}
     _log.debug("borders phase: %d shards over %d workers (shm=%s)",
                len(shards), n_workers, session is not None)
@@ -933,7 +861,7 @@ def parallel_assign_borders(
         # (a border point touching > BORDER_SLAB_WIDTH clusters); the dict
         # update handles both modes.
         _fan_out(
-            cfg, n_workers, payload, "borders", items,
+            cfg, n_workers, payload, "borders", shards,
             lambda result: out.update(result),
             deadline=deadline, memory=memory,
         )

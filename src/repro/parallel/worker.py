@@ -18,11 +18,13 @@ Task functions reuse the *serial* implementations (`label_cores`,
 cells, so there is a single source of truth for the per-cell and per-pair
 decisions and serial/parallel drift is impossible by construction.
 
-Under the shared-memory transport (:mod:`repro.parallel.shm`) the payload
-carries segment *headers* instead of the grid: the worker attaches
-read-only, reconstructs the grid as views (:meth:`Grid.from_soa`), task
-items arrive as ``(SHM_RANGE, start, stop)`` ranges over the grid's cell
-(or candidate-pair) order, and results are written into the phase's
+Task items are ``(start, stop)`` ranges on every transport: over the
+grid's cell order for cores/borders, over the parent's task-ordered
+candidate-pair arrays (``pair_i`` / ``pair_j``) for edges.  Under the
+shared-memory transport (:mod:`repro.parallel.shm`) the payload carries
+segment *headers* instead of the grid and the phase inputs: the worker
+attaches read-only, reconstructs the grid as views
+(:meth:`Grid.from_soa`), and writes per-cell results into the phase's
 shared output slabs — the pickled return value shrinks to an ack (or the
 rare border-slab overflow).  Slab writes are disjoint per shard and
 position-stable, so a retried or re-pooled shard rewrites exactly the
@@ -44,25 +46,13 @@ from repro.core.cellgraph import (
 from repro.core.edgekernel import apply_preunion_dense, cell_arrays, resolve_edges
 from repro.core.labeling import label_cores
 from repro.grid.cells import CellCoord, Grid
+from repro.parallel.shard import Range
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
 from repro.utils.unionfind import DenseUnionFind
 
-Pair = Tuple[CellCoord, CellCoord]
-
-#: First element of a shared-memory range item: ``(SHM_RANGE, start, stop)``
-#: addresses a contiguous run of the phase's task-order (cell order for
-#: cores/borders, reordered candidate-pair order for edges).
-SHM_RANGE = "__shm_range__"
-
 #: Per-process context, set by :func:`init_worker` (pool initializer).
 _CTX: Optional[Dict[str, object]] = None
-
-
-def _is_range(item) -> bool:
-    return (
-        isinstance(item, tuple) and len(item) == 3 and item[0] == SHM_RANGE
-    )
 
 
 def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict[str, object]:
@@ -111,24 +101,27 @@ def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict
         "edge": None,
         "fault_spec": payload.get("fault_spec"),
         "in_worker": bool(in_worker),
-        "known_core": payload.get("known_core"),
         "shm_in": shm_in,
         "shm_out": shm_out,
         "shm_io_block": io_block,
     }
-    if ctx["known_core"] is None and "known_core" in shm_in:
-        ctx["known_core"] = shm_in["known_core"]
-    core_mask = payload.get("core_mask")
-    if core_mask is None and "core_mask" in shm_in:
-        core_mask = shm_in["core_mask"]
+
+    def phase_input(name: str):
+        # Pickled/thread transports carry phase inputs in the payload; shm
+        # carries them in the IO block — either way the task reads one name.
+        value = payload.get(name)
+        return shm_in.get(name) if value is None else value
+
+    ctx["known_core"] = phase_input("known_core")
+    core_mask = phase_input("core_mask")
     if core_mask is not None:
         ctx["core_mask"] = np.asarray(core_mask, dtype=bool)
         ctx["cells"] = core_cells(grid, ctx["core_mask"])
-    core_labels = payload.get("core_labels")
-    if core_labels is None and "core_labels" in shm_in:
-        core_labels = shm_in["core_labels"]
+    core_labels = phase_input("core_labels")
     if core_labels is not None:
         ctx["core_labels"] = np.asarray(core_labels, dtype=np.int64)
+    ctx["pair_i"] = phase_input("pair_i")
+    ctx["pair_j"] = phase_input("pair_j")
     # Monotone-sweep connectivity seed, restricted (as on the parent side)
     # to pairs whose cells are both core cells of *this* run.
     preunion = payload.get("preunion")
@@ -196,31 +189,29 @@ def adjacency_task(block: Tuple[int, int]) -> Tuple[int, np.ndarray, np.ndarray]
     return start, lengths, indices
 
 
-def _cell_range(ctx: Dict[str, object], start: int, stop: int) -> List[CellCoord]:
-    """Resolve a ``(SHM_RANGE, start, stop)`` item against the grid's cell
-    order (cached per context — the list is rebuilt once per phase)."""
+def _cell_range(ctx: Dict[str, object], block: Range) -> List[CellCoord]:
+    """Resolve a ``(start, stop)`` item against the grid's cell order
+    (cached per context — the key list is built once per phase)."""
     keys = ctx.get("_cell_keys")
     if keys is None:
         keys = list(ctx["grid"].cells.keys())
         ctx["_cell_keys"] = keys
+    start, stop = block
     return keys[start:stop]
 
 
-def cores_task(cell_block) -> object:
-    """Core determination for one shard.
+def cores_task(block: Range) -> object:
+    """Core determination for the cell ids ``start .. stop - 1``.
 
-    Pickled transport: the shard's ``(point_indices, core_flags)``.
-    Shared-memory transport (``(SHM_RANGE, start, stop)`` item): flags are
-    written into the shared ``core`` slab — disjoint per shard, so writes
-    are idempotent across retries — and only a count is returned.
+    Pickled/thread transports: the shard's ``(point_indices, core_flags)``.
+    Shared-memory transport: flags are written into the shared ``core``
+    slab — disjoint per shard, so writes are idempotent across retries —
+    and only a count is returned.
     """
     ctx = _ctx()
     deadline, memory, phase = _guards()
     grid: Grid = ctx["grid"]
-    slab = None
-    if _is_range(cell_block):
-        slab = ctx["shm_out"]["core"]
-        cell_block = _cell_range(ctx, int(cell_block[1]), int(cell_block[2]))
+    cell_block = _cell_range(ctx, block)
     mask = label_cores(
         grid,
         int(ctx["min_pts"]),
@@ -232,6 +223,7 @@ def cores_task(cell_block) -> object:
         memory.check(phase)
     blocks = [grid.points_in(c) for c in cell_block]
     idx = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    slab = ctx["shm_out"].get("core")
     if slab is not None:
         slab[idx] = mask[idx]
         return int(len(idx))
@@ -248,74 +240,56 @@ def _edge_arrays(ctx: Dict[str, object]):
     return arrays
 
 
-def edges_task(pairs) -> object:
-    """Resolve a chunk of oriented candidate pairs; return the unions made.
+def edges_task(block: Range) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve a range of oriented candidate pairs; return the unions made.
 
-    The chunk runs the staged edge kernel
-    (:func:`repro.core.edgekernel.resolve_edges`) against a chunk-local
-    forest: vectorised quick-accept/quick-reject passes settle most pairs,
-    survivors run the per-pair predicate cheapest-first, and the
-    chunk-local connectivity short-circuits redundant tests (for an
-    intra-shard chunk this is the full serial short-circuit).  Only the
-    unions that *merged* two chunk-local components are emitted — that
-    subset spans the same connectivity as the chunk's true edge set, so
-    the parent's stitching pass reconstructs the global components
-    exactly.
+    ``block`` is a ``(start, stop)`` range of the parent's task-ordered
+    ``pair_i`` / ``pair_j`` arrays (ids in the core-cell order).  The chunk
+    runs the staged edge kernel (:func:`repro.core.edgekernel.resolve_edges`)
+    against a chunk-local forest: vectorised quick-accept/quick-reject
+    passes settle most pairs, survivors run the per-pair predicate
+    cheapest-first, and the chunk-local connectivity short-circuits
+    redundant tests (for an intra-shard chunk this is the full serial
+    short-circuit).  Only the unions that *merged* two chunk-local
+    components are returned — a spanning forest, so fewer than the chunk's
+    cell count, and it spans the same connectivity as the chunk's true
+    edge set, so the parent's stitching pass reconstructs the global
+    components exactly.
+
+    The result is three int64 arrays ``(t, a, b)``: ``t`` is the position
+    of the pair that caused the union in the whole ``pair_i`` / ``pair_j``
+    layout, ``(a, b)`` its cell ids.  A fresh chunk-local forest makes the
+    kernel's schedule a pure function of the chunk, so a retried or
+    duplicated task returns exactly the same triples and the parent's
+    position-stable writes are idempotent.
 
     A monotone-sweep ``preunion`` seed (when present) is folded into the
     chunk-local forest too: pairs its connectivity already covers skip
     their edge tests and are *not* emitted — sound because the parent
     seeds its stitching forest with the very same pairs.
-
-    Shared-memory transport: the item is a ``(SHM_RANGE, start, stop)``
-    range of the parent's task-ordered ``pair_i``/``pair_j`` index arrays
-    (indices into the core-cell key order), and every union made is
-    recorded at the position ``t`` of the pair that caused it in the
-    ``edge_i``/``edge_j`` slabs (``-1`` means "no union") —
-    position-stable and deterministic (a fresh chunk-local forest makes
-    the kernel's schedule a pure function of the chunk), so retries
-    rewrite the same slots and a partially written shard is
-    indistinguishable from a partially evaluated one.
     """
     ctx = _ctx()
     deadline, memory, phase = _guards()
-    edge = ctx["edge"]
     arrays = _edge_arrays(ctx)
     uf = DenseUnionFind(len(arrays))
     apply_preunion_dense(uf, arrays.index, ctx.get("preunion"))
     grid: Grid = ctx["grid"]
-    if _is_range(pairs):
-        start, stop = int(pairs[1]), int(pairs[2])
-        ii = np.asarray(ctx["shm_in"]["pair_i"][start:stop], dtype=np.int64)
-        jj = np.asarray(ctx["shm_in"]["pair_j"][start:stop], dtype=np.int64)
-        out_i = ctx["shm_out"]["edge_i"]
-        out_j = ctx["shm_out"]["edge_j"]
-        unions = resolve_edges(
-            grid.points, grid.eps, arrays, ii, jj, uf, edge,
-            reject_eps=ctx.get("reject_eps"), deadline=deadline,
-        )
-        for t, a, b in unions:
-            out_i[start + t] = a
-            out_j[start + t] = b
-        if memory is not None:
-            memory.check(phase)
-        return len(unions)
-    index = arrays.index
-    ii = np.fromiter((index[c1] for c1, _ in pairs), dtype=np.int64, count=len(pairs))
-    jj = np.fromiter((index[c2] for _, c2 in pairs), dtype=np.int64, count=len(pairs))
+    start, stop = block
+    ii = np.asarray(ctx["pair_i"][start:stop], dtype=np.int64)
+    jj = np.asarray(ctx["pair_j"][start:stop], dtype=np.int64)
     unions = resolve_edges(
-        grid.points, grid.eps, arrays, ii, jj, uf, edge,
+        grid.points, grid.eps, arrays, ii, jj, uf, ctx["edge"],
         reject_eps=ctx.get("reject_eps"), deadline=deadline,
     )
-    keys = arrays.keys
-    out: List[Pair] = [(keys[a], keys[b]) for _, a, b in unions]
     if memory is not None:
         memory.check(phase)
-    return out
+    t, a, b = np.array(unions, dtype=np.int64).reshape(-1, 3).T
+    return t + start, a, b
 
 
-def borders_task(cell_block) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Border assignment for one shard, as ``(point, cluster-ids)`` items.
+def borders_task(block: Range) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Border assignment for the cell ids ``start .. stop - 1``, as
+    ``(point, cluster-ids)`` items.
 
     Shared-memory transport: each border point's cluster ids land in its
     row of the ``border_labels`` slab and the id count in
@@ -327,21 +301,18 @@ def borders_task(cell_block) -> List[Tuple[int, Tuple[int, ...]]]:
     """
     ctx = _ctx()
     deadline, memory, phase = _guards()
-    slab = None
-    if _is_range(cell_block):
-        slab = (ctx["shm_out"]["border_labels"], ctx["shm_out"]["border_count"])
-        cell_block = _cell_range(ctx, int(cell_block[1]), int(cell_block[2]))
     out = assign_borders(
         ctx["grid"],
         ctx["core_mask"],
         ctx["core_labels"],
         deadline=deadline,
-        cells=cell_block,
+        cells=_cell_range(ctx, block),
     )
     if memory is not None:
         memory.check(phase)
-    if slab is not None:
-        labels, counts = slab
+    if "border_labels" in ctx["shm_out"]:
+        labels = ctx["shm_out"]["border_labels"]
+        counts = ctx["shm_out"]["border_count"]
         width = labels.shape[1]
         overflow: List[Tuple[int, Tuple[int, ...]]] = []
         for point, cluster_ids in out.items():

@@ -21,10 +21,12 @@ from repro.api import dbscan
 from repro.data.seed_spreader import seed_spreader
 from repro.data.shapes import rings, two_moons
 from repro.errors import ParameterError, TimeoutExceeded
-from repro.parallel import ParallelConfig, shard_cells, split_pairs
+from repro.parallel import ParallelConfig, pair_tasks, shard_cells
+from repro.parallel import executor
 from repro.parallel import worker as worker_mod
 from repro.parallel.executor import as_parallel_config, effective_workers
 from repro.runtime.deadline import Deadline
+from tests.oracles import shard as shard_oracle
 
 #: Force the pool even on tiny inputs — the whole point is to exercise it.
 def forced(workers: int) -> ParallelConfig:
@@ -123,7 +125,10 @@ class TestApproxDifferentialOracle:
 
 
 class TestSerialFallback:
-    def test_small_input_falls_back(self):
+    def test_small_input_falls_back(self, monkeypatch):
+        # The claim is about the built-in default, not an environment
+        # override (CI's parallel job sets REPRO_PARALLEL_MIN_POINTS=0).
+        monkeypatch.delenv("REPRO_PARALLEL_MIN_POINTS", raising=False)
         pts, (eps, *_rest) = DATASETS["ss3d"]
         # Default min_points (4096) exceeds n=400: the pool must not spawn.
         result = dbscan(pts, eps, 10, workers=4)
@@ -164,31 +169,133 @@ class TestSerialFallback:
         assert result.n >= 0  # ran without raising
 
 
+def list_cuts(blocks):
+    """``(start, stop)`` id ranges of the list-form shards, in order."""
+    out, start = [], 0
+    for block in blocks:
+        out.append((start, start + len(block)))
+        start += len(block)
+    return out
+
+
 class TestShardHelpers:
     def test_shards_partition_cells(self):
         cells = [(i, j) for i in range(7) for j in range(5)]
         weights = {c: 1 + (c[0] * c[1]) % 3 for c in cells}
-        shards = shard_cells(cells, 4, weights)
+        sizes = np.array([weights[c] for c in sorted(cells)])
+        shards = shard_cells(sizes, 4)
         assert len(shards) <= 4
-        flat = [c for shard in shards for c in shard]
-        assert sorted(flat) == sorted(cells)          # exact partition
-        assert flat == sorted(cells)                  # contiguous in sort order
-        assert all(shard for shard in shards)         # no empty shard
+        assert shards[0][0] == 0 and shards[-1][1] == len(cells)  # exact partition
+        assert all(a[1] == b[0] for a, b in zip(shards, shards[1:]))  # contiguous
+        assert all(stop > start for start, stop in shards)  # no empty shard
+        assert shards == list_cuts(shard_oracle.shard_cells(cells, 4, weights))
 
     def test_more_shards_than_cells(self):
         cells = [(0, 0), (0, 1)]
-        shards = shard_cells(cells, 8, {c: 1 for c in cells})
-        assert [c for s in shards for c in s] == sorted(cells)
+        shards = shard_cells(np.ones(2, dtype=np.int64), 8)
+        assert shards == [(0, 1), (1, 2)]
+        assert shards == list_cuts(
+            shard_oracle.shard_cells(cells, 8, {c: 1 for c in cells})
+        )
+        assert shard_cells(np.empty(0, dtype=np.int64), 4) == []
+        assert shard_cells(np.array([5, 7]), 1) == [(0, 2)]
 
-    def test_split_pairs_preserves_orientation(self):
-        owner = {(0, 0): 0, (0, 1): 0, (5, 5): 1}
-        pairs = [((0, 0), (0, 1)), ((5, 5), (0, 1)), ((0, 1), (5, 5))]
-        intra, boundary = split_pairs(pairs, owner, 2)
-        assert intra[0] == [((0, 0), (0, 1))]
-        assert intra[1] == []
-        # Boundary pairs keep their original orientation — the approximate
-        # edge predicate is direction-sensitive in the don't-care zone.
-        assert boundary == [((5, 5), (0, 1)), ((0, 1), (5, 5))]
+    def test_cuts_match_list_form_on_random_weights(self):
+        rng = np.random.default_rng(20261017)
+        for _ in range(300):
+            m = int(rng.integers(0, 60))
+            n_shards = int(rng.integers(1, 12))
+            if rng.random() < 0.5:
+                sizes = rng.integers(1, 20, size=m)
+            else:  # skewed occupancy: a few dense cells, many sparse ones
+                sizes = 1 + rng.geometric(0.05, size=m) * (rng.random(m) < 0.1)
+            cells = [(t,) for t in range(m)]
+            weights = {c: int(w) for c, w in zip(cells, sizes)}
+            expected = list_cuts(shard_oracle.shard_cells(cells, n_shards, weights))
+            assert shard_cells(sizes, n_shards) == expected, (m, n_shards, sizes)
+
+    def test_pair_tasks_preserves_orientation(self):
+        # Cells 0, 1 form shard 0 and cells 2, 3 shard 1; pairs in
+        # emission order: boundary, intra-1 (reversed), intra-0, boundary.
+        ii = np.array([2, 3, 0, 1])
+        jj = np.array([1, 2, 1, 3])
+        pair_i, pair_j, tasks = pair_tasks(ii, jj, [(0, 2), (2, 4)], 1)
+        # Intra blocks come first (shard order), then the boundary chunks.
+        assert tasks == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        # Every pair keeps its original orientation — the approximate edge
+        # predicate is direction-sensitive in the don't-care zone.
+        assert list(zip(pair_i.tolist(), pair_j.tolist())) == [
+            (0, 1), (3, 2), (2, 1), (1, 3)
+        ]
+        pair_i, pair_j, tasks = pair_tasks(ii, jj, [(0, 2), (2, 4)], 256)
+        assert tasks == [(0, 1), (1, 2), (2, 4)]
+        empty = np.empty(0, dtype=np.int64)
+        pair_i, pair_j, tasks = pair_tasks(empty, empty, [(0, 3)], 4)
+        assert tasks == [] and len(pair_i) == len(pair_j) == 0
+
+    def test_pair_tasks_match_list_layout(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(100):
+            m = int(rng.integers(2, 40))
+            n_pairs = int(rng.integers(0, 200))
+            ii = rng.integers(0, m, size=n_pairs)
+            jj = rng.integers(0, m, size=n_pairs)
+            shards = shard_cells(rng.integers(1, 9, size=m), int(rng.integers(1, 6)))
+            chunk = int(rng.integers(1, 30))
+            pair_i, pair_j, tasks = pair_tasks(ii, jj, shards, chunk)
+            blocks = [list(range(start, stop)) for start, stop in shards]
+            expected = shard_oracle.pair_layout(
+                zip(ii.tolist(), jj.tolist()), blocks, chunk
+            )
+            got = [
+                list(zip(pair_i[a:b].tolist(), pair_j[a:b].tolist()))
+                for a, b in tasks
+            ]
+            assert got == expected
+
+
+class TestReplayedComponentResults:
+    """Every ``edges`` result delivered twice, in reverse order.
+
+    ``_fan_out`` promises an order-independent, idempotent merge (the
+    supervisor may hand back a duplicate from a torn-down pool); the
+    position-stable union writes must make the replay invisible.
+    """
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        real = executor._fan_out
+        delivered = []
+
+        def replay(cfg, n_workers, payload, kind, items, consume, **guards):
+            if kind != "edges":
+                return real(cfg, n_workers, payload, kind, items, consume, **guards)
+            results = []
+            real(cfg, n_workers, payload, kind, items, results.append, **guards)
+            assert len(results) > 1
+            for result in results[::-1] + results[::-1]:
+                delivered.append(result)
+                consume(result)
+
+        monkeypatch.setattr(executor, "_fan_out", replay)
+        return delivered
+
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("rho", [None, 0.1])
+    def test_replay_matches_serial(self, replayed, backend, rho):
+        pts, (_, eps, _) = DATASETS["ss2d"]
+        par = ParallelConfig(
+            workers=2, min_points=0, chunk_pairs=8, shm=False, backend=backend
+        )
+        if rho is None:
+            serial = dbscan(pts, eps, 10, workers=1)
+            got = dbscan(pts, eps, 10, workers=par)
+        else:
+            serial = approx_dbscan(pts, eps, 10, rho=rho, workers=1)
+            got = approx_dbscan(pts, eps, 10, rho=rho, workers=par)
+        assert got.meta["workers"] == 2
+        assert any(len(t) for t, _, _ in replayed), "no task made a union"
+        assert_identical(serial, got, f"replayed {backend} rho={rho}")
 
 
 class TestWorkerGuards:
@@ -208,7 +315,7 @@ class TestWorkerGuards:
         )
         try:
             with pytest.raises(TimeoutExceeded):
-                worker_mod.cores_task(list(grid.cells.keys()))
+                worker_mod.cores_task((0, len(grid)))
         finally:
             worker_mod._CTX = None
 
